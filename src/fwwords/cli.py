@@ -9,26 +9,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable, Iterator
 
 from .bench import DEFAULT_ORACLE_GUARD, run_bench
 from .oracle import fw_oracle
 from .periods import PeriodSet
-from .reduction import ReductionChain, extremal_length, fw_fast, letter_at, reduction_chain
+from .reduction import ReductionChain, extremal_length, generating_prefix, letter_at, reduction_chain
 from .selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, run_selftest
-from .words import Word, alphabet, is_trivial
+from .words import extend_periodically, is_trivial
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+STREAM_CHUNK = 1 << 13  # letters per write of `word`
+ORACLE_MAX_LENGTH = 10**7  # positions `word --engine oracle` builds at most
 
 
 def _parse_periods(text: str) -> PeriodSet:
     return PeriodSet(int(part) for part in text.split(","))
-
-
-def _render_dense(w: Word) -> str:
-    if any(letter >= len(DENSE_DIGITS) for letter in w):
-        raise ValueError("AlphabetTooLargeForDense: dense mode needs every letter below 36")
-    return "".join(DENSE_DIGITS[letter] for letter in w)
 
 
 def render_chain(chain: ReductionChain) -> str:
@@ -38,26 +36,68 @@ def render_chain(chain: ReductionChain) -> str:
     return "\n".join(lines)
 
 
+def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], str], sep: str) -> Iterator[str]:
+    """The length-n periodic extension of prefix (n >= len(prefix) > 0), rendered
+    letter by letter with `token` and joined by `sep`, in pieces of at most
+    STREAM_CHUNK letters; the pieces themselves are to be joined by `sep`."""
+    chunk = STREAM_CHUNK
+    reps = min(chunk, n) // len(prefix)
+    if reps > 1:
+        # the same extension, generated by about one chunk: one rendering serves every write
+        prefix = extend_periodically(prefix, reps * len(prefix))
+    copies, rest = divmod(n, len(prefix))
+    slices = (sep.join(map(token, prefix[i : i + chunk])) for i in range(0, len(prefix), chunk))
+    if copies == 1 and not rest:
+        yield from slices  # written once, so never hold more than one slice
+        return
+    slices = list(slices)
+    for _ in range(copies):
+        yield from slices
+    full, partial = divmod(rest, chunk)
+    yield from slices[:full]
+    if partial:
+        yield sep.join(map(token, prefix[rest - partial : rest]))
+
+
 def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
-    build = fw_oracle if args.engine == "oracle" else fw_fast
-    w = build(ps, args.length)
-    if args.format == "ints":
-        print(" ".join(str(letter) for letter in w))
-    elif args.format == "dense":
-        print(_render_dense(w))
-    else:
-        print(
-            json.dumps(
-                {
-                    "periods": list(ps.periods),
-                    "length": args.length,
-                    "letters": list(w),
-                    "alphabet_size": len(alphabet(w)),
-                    "trivial": is_trivial(w, ps),
-                }
+    n = args.length
+    # The word is the periodic extension of `prefix` to length n: the
+    # generating prefix for the fast engine, the whole word for the oracle.
+    if args.engine == "oracle":
+        if n > ORACLE_MAX_LENGTH:
+            raise ValueError(
+                f"the oracle engine builds at most {ORACLE_MAX_LENGTH} positions; use --engine fast for longer words"
             )
-        )
+        prefix = fw_oracle(ps, n)
+    else:
+        prefix = generating_prefix(ps, n)
+    token, sep, head, tail = str, " ", "", ""
+    if args.format == "dense":
+        if max(prefix, default=0) >= len(DENSE_DIGITS):
+            raise ValueError("AlphabetTooLargeForDense: dense mode needs every letter below 36")
+        token, sep = DENSE_DIGITS.__getitem__, ""
+    elif args.format == "json":
+        # the gcd divides len(prefix) unless prefix is the whole word, so the
+        # prefix has the gcd as a period exactly when the word does
+        doc = {
+            "periods": list(ps.periods),
+            "length": n,
+            "letters": [],
+            "alphabet_size": len(set(prefix)),
+            "trivial": is_trivial(prefix, ps),
+        }
+        head, tail = json.dumps(doc).split('"letters": []')
+        head, tail, sep = head + '"letters": [', "]" + tail, ", "
+    write = sys.stdout.write
+    write(head)
+    if n > 0:
+        pieces = _extension_pieces(prefix, n, token, sep)
+        write(next(pieces))
+        for piece in pieces:
+            write(sep)
+            write(piece)
+    write(tail + "\n")
     return 0
 
 
@@ -152,10 +192,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped reading, which is its choice. Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 if __name__ == "__main__":

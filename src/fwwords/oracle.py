@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TooLargeForExhaustiveError
+from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
 from .words import Word, has_period
 
@@ -101,6 +101,8 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
     at position v). Costs O(n * len(periods)); use `fwwords.reduction.fw_fast`
     for the same word at large n.
     """
+    if n < 0:
+        raise OutOfRangeError(f"length must be >= 0, got {n}")
     return build_partition(periods, n).reps
 
 

@@ -9,17 +9,21 @@ from operator import index
 from .errors import EmptyPeriodSetError, InvalidPeriodError
 
 
+def _refuse_bool(value: bool) -> int:
+    raise InvalidPeriodError(f"periods must be integers, not bools: got {value}")
+
+
 class PeriodSet:
     """Immutable sorted set of periods with its minimum and gcd precomputed.
 
     Duplicates collapse silently (set semantics); every value must be a
-    positive integer.
+    positive integer, and bools are refused rather than read as 0 and 1.
     """
 
     __slots__ = ("periods", "min_period", "gcd")
 
     def __init__(self, values: Iterable[int]) -> None:
-        periods = sorted({index(v) for v in values})
+        periods = sorted({_refuse_bool(v) if type(v) is bool else index(v) for v in values})
         if not periods:
             raise EmptyPeriodSetError("a period set needs at least one period")
         if periods[0] < 1:

@@ -1,11 +1,19 @@
+import argparse
+import contextlib
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
+from fwwords import cli
 from fwwords.cli import main, render_chain
-from fwwords import PeriodSet, reduction_chain
+from fwwords import PeriodSet, alphabet, fw_fast, fw_oracle, is_trivial, letter_at, reduction_chain
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +93,15 @@ def test_invalid_periods_exit_2(capsys, bad):
 def test_word_negative_length_exit_2(capsys):
     code, _, _ = run_cli(capsys, "word", "--periods", "5,7", "--length", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["ints", "dense", "json"])
+def test_word_oracle_negative_length_exit_2(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "word", "--periods", "5,7", "--length", "-1", "--engine", "oracle", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert "length must be >= 0" in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -211,3 +228,105 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "01034010\n"
+
+
+def _reference_output(ps, n, fmt, w):
+    """What `word` prints, rendered here from the materialized word."""
+    if fmt == "ints":
+        return " ".join(map(str, w)) + "\n"
+    if fmt == "dense":
+        return "".join(cli.DENSE_DIGITS[letter] for letter in w) + "\n"
+    doc = {
+        "periods": list(ps.periods),
+        "length": n,
+        "letters": list(w),
+        "alphabet_size": len(alphabet(w)),
+        "trivial": is_trivial(w, ps),
+    }
+    return json.dumps(doc) + "\n"
+
+
+def test_word_streams_the_materialized_word(monkeypatch):
+    # A 7-letter chunk sends short prefixes through the repeated-rendering
+    # path with a partial tail, prefixes of 8..12 letters through the
+    # cached-slice path, and the oracle's whole word through the path that
+    # renders one slice at a time.
+    monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
+    # one oracle build per case serves the reference and all three formats
+    oracle = functools.lru_cache(maxsize=1)(fw_oracle)
+    monkeypatch.setattr(cli, "fw_oracle", oracle)
+    cases = [(values, n) for size in (1, 2, 3) for values in combinations(range(1, 13), size) for n in range(45)]
+    cases += [(values, n) for values in ((5, 7), (6, 9), (12, 18, 27), (8, 20, 30, 35)) for n in (99, 1000, 4321)]
+    for values, n in cases:
+        ps = PeriodSet(values)
+        for engine, build in (("fast", fw_fast), ("oracle", oracle)):
+            w = build(ps, n)
+            for fmt in ("ints", "dense", "json"):
+                args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli._cmd_word(args)
+                assert out.getvalue() == _reference_output(ps, n, fmt, w), (values, n, engine, fmt)
+
+
+def test_word_oracle_size_guard(capsys, monkeypatch):
+    too_long = str(cli.ORACLE_MAX_LENGTH + 1)
+    code, out, err = run_cli(capsys, "word", "--periods", "5,7", "--length", too_long, "--engine", "oracle")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert str(cli.ORACLE_MAX_LENGTH) in err and "--engine fast" in err
+    monkeypatch.setattr(cli, "ORACLE_MAX_LENGTH", 10)
+    fast = run_cli(capsys, "word", "--periods", "5,7", "--length", "10")
+    assert run_cli(capsys, "word", "--periods", "5,7", "--length", "10", "--engine", "oracle") == fast
+    assert run_cli(capsys, "word", "--periods", "5,7", "--length", "11", "--engine", "oracle")[0] == 2
+
+
+def test_word_closed_pipe_streams_in_bounded_memory():
+    # The word has 10**11 letters: it could never be materialized. The reader
+    # takes 1 MiB and closes the pipe; the writer stops quietly with exit 0.
+    ps, n, size = PeriodSet([5, 7]), 10**11, 1 << 20
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fwwords", "word", "--periods", "5,7", "--length", str(n), "--format", "dense"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(size)
+    proc.stdout.close()
+    deadline = time.monotonic() + 60
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not pid:
+        proc.kill()
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert pid, "the writer did not stop after its reader closed the pipe"
+    assert len(head) == size
+    for i in (0, 1, 7, 12345, size - 1):
+        assert head[i : i + 1].decode() == cli.DENSE_DIGITS[letter_at(ps, n, i)]
+    assert (proc.returncode, err) == (0, b"")
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+
+
+def test_word_without_reader_exits_0_quietly():
+    # The read end is closed before the writer starts. With buffered stdout
+    # the word is still pending at interpreter exit, whose flush must not
+    # fail a second time.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "fwwords", "word", "--periods", "5,7", "--length", "8"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")

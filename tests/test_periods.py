@@ -40,6 +40,12 @@ def test_nonpositive_rejected(bad):
         PeriodSet([5, bad])
 
 
+@pytest.mark.parametrize("values", [[True], [False], [5, True]])
+def test_bools_rejected(values):
+    with pytest.raises(InvalidPeriodError):
+        PeriodSet(values)
+
+
 def test_non_integers_rejected():
     with pytest.raises(TypeError):
         PeriodSet([2.5, 7])
