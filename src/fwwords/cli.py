@@ -11,17 +11,17 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .bench import DEFAULT_ORACLE_GUARD, run_bench
 from .oracle import fw_oracle
 from .periods import PeriodSet
-from .reduction import ReductionChain, extremal_length, generating_prefix, letter_at, reduction_chain
+from .reduction import ReductionChain, chain_steps, extremal_length, generating_prefix, letter_at
 from .selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, run_selftest
 from .words import extend_periodically, is_trivial
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-STREAM_CHUNK = 1 << 13  # letters per write of `word`
+STREAM_CHUNK = 1 << 13  # letters per write of `word`, characters per write of `chain`
 ORACLE_MAX_LENGTH = 10**7  # positions `word --engine oracle` builds at most
 
 
@@ -29,9 +29,13 @@ def _parse_periods(text: str) -> PeriodSet:
     return PeriodSet(int(part) for part in text.split(","))
 
 
+def _chain_line(idx: int, periods: Iterable[int], length: int) -> str:
+    return f"Q{idx}={{{','.join(map(str, periods))}}} n{idx}={length}"
+
+
 def render_chain(chain: ReductionChain) -> str:
     """One line per step, `Qi={...} ni=<len>`, then the termination tag."""
-    lines = [f"Q{idx}={ps} n{idx}={length}" for idx, (ps, length) in enumerate(chain.steps)]
+    lines = [_chain_line(idx, ps, length) for idx, (ps, length) in enumerate(chain.steps)]
     lines.append(chain.termination.value)
     return "\n".join(lines)
 
@@ -114,7 +118,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    print(render_chain(reduction_chain(_parse_periods(args.periods), args.length)))
+    # the lines of render_chain(reduction_chain(...)), written as the descent
+    # produces them, in writes of about STREAM_CHUNK characters
+    write = sys.stdout.write
+    lines: list[str] = []
+    size = 0
+    for idx, (periods, length, end) in enumerate(chain_steps(_parse_periods(args.periods), args.length)):
+        lines.append(_chain_line(idx, periods, length))
+        size += len(lines[-1])
+        if size >= STREAM_CHUNK:
+            write("\n".join(lines) + "\n")
+            lines.clear()
+            size = 0
+    lines.append(end.value)
+    write("\n".join(lines) + "\n")
     return 0
 
 

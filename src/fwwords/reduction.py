@@ -12,12 +12,13 @@ Consecutive steps that share the same minimum are collapsed into single
 arithmetic jumps, which is what makes letter queries and extremal lengths
 for periods around 10**12 effectively instant. Each jumped routine keeps a
 deliberately literal twin (`letter_at_unbatched`, `extremal_length_unbatched`,
-iterated `reduce_periods`) that serves as its test oracle.
+`reduction_chain`, iterated `reduce_periods`) that serves as its test oracle.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
@@ -99,6 +100,47 @@ def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
         steps.append((cur, length))
 
 
+def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    # The arithmetic jumps of the descent for length n, outermost first: every
+    # (set, length) it visits, with the k literal steps the jump from it covers.
+    # The last one, where length <= min or min == gcd ends the descent, has k == 0.
+    if n < 0:
+        raise OutOfRangeError(f"length must be >= 0, got {n}")
+    gcd = periods.gcd
+    cur = periods.periods
+    length = n
+    while True:
+        m = cur[0]
+        if length <= m or m == gcd:
+            yield cur, length, 0
+            return
+        k = min(_window(cur), (length - 1) // m)
+        yield cur, length, k
+        cur = _jump(cur, k)
+        length -= k * m
+
+
+def chain_steps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, Termination | None]]:
+    """The steps of reduction_chain(periods, n), produced as the jump descent runs.
+
+    Yields (sorted periods, length) per literal step, outermost first, with
+    the chain's termination on the last step and None on every other. Memory
+    stays bounded however many steps the chain has; a negative length raises
+    OutOfRangeError at the first step.
+    """
+    for cur, length, k in _descent(periods, n):
+        if not k:
+            end = Termination.LENGTH_AT_MOST_MIN if length <= cur[0] else Termination.GCD_EQUALS_MIN
+            yield cur, length, end
+            return
+        yield cur, length, None
+        # Inside a jump the minimum m stays and every other element exceeds m
+        # (see _window), so each set is m followed by the shifted rest, in order.
+        m, rest = cur[0], cur[1:]
+        for shift in range(m, k * m, m):
+            yield (m, *[p - shift for p in rest]), length - shift, None
+
+
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
     """The length-min(min_period, n) prefix that generates fw_fast(periods, n).
 
@@ -106,35 +148,22 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
     computation apart from that final copy, and the only part that stays
     affordable when n itself is too large to materialize.
     """
-    if n < 0:
-        raise OutOfRangeError(f"length must be >= 0, got {n}")
-    gcd = periods.gcd
-    cur = periods.periods
-    length = n
-    jumps: list[tuple[int, int]] = []
-    while True:
-        m = cur[0]
-        if length <= m or m == gcd:
-            break
-        k = min(_window(cur), (length - 1) // m)
-        jumps.append((m, k))
-        cur = _jump(cur, k)
-        length -= k * m
+    *jumps, (cur, length, _) = _descent(periods, n)
     if length <= cur[0]:
         # all classes are singletons at this length
         gen: Word = tuple(range(length))
     else:
         # min == gcd: classes are the residues mod min
         gen = tuple(range(cur[0]))
-    for m, k in reversed(jumps):
-        bottom = length
+    for top_set, top, k in reversed(jumps):
+        m = top_set[0]
+        bottom = top - k * m
         if m <= bottom:
             gen = extend_periodically(gen, m)
         else:
             gen = extend_periodically(gen, bottom) + tuple(range(bottom, m))
         # the other k-1 levels of this jump share the minimum m and sit over
         # lengths >= bottom + m > m, so their generator is unchanged
-        length += k * m
     return gen
 
 

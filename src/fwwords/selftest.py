@@ -7,8 +7,10 @@ thin wrapper around `run_selftest`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
+from .errors import OutOfRangeError
 from .oracle import fw_oracle
 from .periods import PeriodSet
 from .reduction import (
@@ -69,7 +71,10 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     fresh letters near the top of short words, extremal lengths against the
     surrounding trivial/non-trivial boundary, and palindromicity of extremal
     words (a renaming under reversal for every gcd, letterwise for gcd <= 2).
+    An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError.
     """
+    if max_period < 1 or max_n < 0:
+        raise OutOfRangeError(f"the grid needs max_period >= 1 and max_n >= 0, got {max_period} and {max_n}")
     report = SelftestReport(
         counts={
             "word-equivalence": 0,
@@ -81,6 +86,8 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
         }
     )
     counts = report.counts
+    # the prefix family asks again for words the grid has built, and neighbours share lengths
+    oracle = cache(fw_oracle)
 
     def check(cond: bool, message: str) -> None:
         if not cond:
@@ -91,7 +98,7 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
             m = ps.min_period
             for n in range(max_n + 1):
                 fast = fw_fast(ps, n)
-                slow = fw_oracle(ps, n)
+                slow = oracle(ps, n)
                 check(fast == slow, f"fw_fast != fw_oracle for periods={ps} n={n}")
                 counts["word-equivalence"] += 1
                 for i, letter in enumerate(fast):
@@ -105,7 +112,7 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
                     )
                     counts["letter-queries"] += 1
                 check(
-                    fw_oracle(reduce_periods(ps), n) == pref(fw_oracle(ps, n + m), n),
+                    oracle(reduce_periods(ps), n) == pref(oracle(ps, n + m), n),
                     f"reduced-set word is not a prefix for periods={ps} n={n}",
                 )
                 counts["prefix-property"] += 1

@@ -13,7 +13,7 @@ import pytest
 
 from fwwords import cli
 from fwwords.cli import main, render_chain
-from fwwords import PeriodSet, alphabet, fw_fast, fw_oracle, is_trivial, letter_at, reduction_chain
+from fwwords import PeriodSet, Termination, alphabet, fw_fast, fw_oracle, is_trivial, letter_at, reduction_chain
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +153,27 @@ def test_render_chain_matches_cli(capsys):
     assert out == text + "\n"
 
 
+def test_chain_streams_the_literal_chain(capsys, monkeypatch):
+    # `chain` writes from the jump descent; the literal chain is the reference.
+    # {3,9,12}, {2,8,10} and {5,25,30} merge two elements at the end of a
+    # multi-step jump; {2,4} at 2 is the tie that the length condition wins.
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    cases = [(values, n) for size in (1, 2, 3) for values in combinations(range(1, 13), size) for n in range(41)]
+    cases += [(values, n) for values in ((3, 6, 9), (4, 6, 10), (3, 9, 12), (5, 25, 30), (8, 20, 30, 35),
+                                         (12, 18, 27), (1000, 1000007)) for n in (0, 1, 99, 1000, 4321, 3000000)]
+    cases.append(((2, 4), 2))
+    terminations = set()
+    for values, n in cases:
+        chain = reduction_chain(PeriodSet(values), n)
+        terminations.add(chain.termination)
+        periods = ",".join(map(str, values))
+        assert run_cli(capsys, "chain", "--periods", periods, "--length", str(n)) == (0, render_chain(chain) + "\n", "")
+    assert terminations == set(Termination)
+    code, out, err = run_cli(capsys, "chain", "--periods", "5,7", "--length", "-1")
+    assert (code, out) == (2, "")
+    assert "length must be >= 0" in err
+
+
 def test_selftest_small_grid(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--max-period", "7", "--max-n", "8")
     assert code == 0
@@ -166,6 +187,13 @@ def test_selftest_degenerate_grid(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--max-period", "1", "--max-n", "5")
     assert code == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("max_period,max_n", [("0", "-1"), ("3", "-5"), ("0", "5")])
+def test_selftest_empty_grid_exit_2(capsys, max_period, max_n):
+    code, out, err = run_cli(capsys, "selftest", "--max-period", max_period, "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "max_period >= 1 and max_n >= 0" in err
 
 
 def test_selftest_defaults(capsys):
@@ -281,15 +309,10 @@ def test_word_oracle_size_guard(capsys, monkeypatch):
     assert run_cli(capsys, "word", "--periods", "5,7", "--length", "11", "--engine", "oracle")[0] == 2
 
 
-def test_word_closed_pipe_streams_in_bounded_memory():
-    # The word has 10**11 letters: it could never be materialized. The reader
-    # takes 1 MiB and closes the pipe; the writer stops quietly with exit 0.
-    ps, n, size = PeriodSet([5, 7]), 10**11, 1 << 20
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fwwords", "word", "--periods", "5,7", "--length", str(n), "--format", "dense"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
+def _read_head_then_close(argv, size):
+    """Run `fwwords argv`, read `size` bytes of its stdout, close the pipe and
+    reap the child: (head, exit code, stderr, resource usage)."""
+    proc = subprocess.Popen([sys.executable, "-m", "fwwords", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = proc.stdout.read(size)
     proc.stdout.close()
     deadline = time.monotonic() + 60
@@ -305,10 +328,32 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     err = proc.stderr.read()
     proc.stderr.close()
     assert pid, "the writer did not stop after its reader closed the pipe"
+    return head, proc.returncode, err, usage
+
+
+def test_word_closed_pipe_streams_in_bounded_memory():
+    # The word has 10**11 letters: it could never be materialized. The reader
+    # takes 1 MiB and closes the pipe; the writer stops quietly with exit 0.
+    ps, n, size = PeriodSet([5, 7]), 10**11, 1 << 20
+    argv = ["word", "--periods", "5,7", "--length", str(n), "--format", "dense"]
+    head, code, err, usage = _read_head_then_close(argv, size)
     assert len(head) == size
     for i in (0, 1, 7, 12345, size - 1):
         assert head[i : i + 1].decode() == cli.DENSE_DIGITS[letter_at(ps, n, i)]
-    assert (proc.returncode, err) == (0, b"")
+    assert (code, err) == (0, b"")
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+
+
+def test_chain_closed_pipe_streams_in_bounded_memory():
+    # 1,000,143 literal steps, all but 144 inside the first arithmetic jump;
+    # holding them all as period sets takes over 400 MB.
+    m, big, n = 1000, 1000000007, 10**12
+    argv = ["chain", "--periods", f"{m},{big}", "--length", str(n)]
+    head, code, err, usage = _read_head_then_close(argv, 1 << 20)
+    lines = head.decode().split("\n")[:-1]  # the last line may be cut
+    assert len(lines) > 10_000
+    assert lines == [f"Q{k}={{{m},{big - k * m}}} n{k}={n - k * m}" for k in range(len(lines))]
+    assert (code, err) == (0, b"")
     assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
 
 
