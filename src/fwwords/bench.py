@@ -7,11 +7,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .oracle import fw_oracle
+from .oracle import ORACLE_MAX_LENGTH, fw_oracle
 from .periods import PeriodSet
 from .reduction import fw_fast, generating_prefix, letter_at
-
-DEFAULT_ORACLE_GUARD = 10**8
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ def run_bench(
     periods: PeriodSet,
     n: int,
     repetitions: int = 5,
-    oracle_guard: int = DEFAULT_ORACLE_GUARD,
+    oracle_guard: int = ORACLE_MAX_LENGTH,
 ) -> list[BenchRow]:
     """Time the fast word build, the oracle word build, and one letter query.
 
@@ -54,20 +52,20 @@ def run_bench(
     materialize O(n) state). The fast leg above the same guard times
     `generating_prefix` instead of the full build: the word itself would not
     fit in memory either, and all that the full build adds is one periodic
-    copy of the prefix.
+    copy of the prefix. A guard above ORACLE_MAX_LENGTH raises ValueError.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if oracle_guard > ORACLE_MAX_LENGTH:
+        raise ValueError(f"the oracle guard is at most {ORACLE_MAX_LENGTH} positions, got {oracle_guard}")
     rows = []
     if n <= oracle_guard:
         rows.append(BenchRow("fast_word", _median_ns(lambda: fw_fast(periods, n), repetitions), repetitions))
+        rows.append(BenchRow("oracle_word", _median_ns(lambda: fw_oracle(periods, n), repetitions), repetitions))
     else:
         rows.append(
             BenchRow("fast_word", _median_ns(lambda: generating_prefix(periods, n), repetitions), repetitions)
         )
-    if n <= oracle_guard:
-        rows.append(BenchRow("oracle_word", _median_ns(lambda: fw_oracle(periods, n), repetitions), repetitions))
-    else:
         rows.append(BenchRow("oracle_word", None, 0, skipped="guard"))
     if n > 0:
         rows.append(

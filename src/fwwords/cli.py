@@ -13,8 +13,8 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
-from .bench import DEFAULT_ORACLE_GUARD, run_bench
-from .oracle import fw_oracle
+from .bench import run_bench
+from .oracle import ORACLE_MAX_LENGTH, fw_oracle
 from .periods import PeriodSet
 from .reduction import ReductionChain, chain_steps, extremal_length, generating_prefix, letter_at
 from .selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, run_selftest
@@ -22,7 +22,6 @@ from .words import extend_periodically, is_trivial
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 STREAM_CHUNK = 1 << 13  # letters per write of `word`, characters per write of `chain`
-ORACLE_MAX_LENGTH = 10**7  # positions `word --engine oracle` builds at most
 
 
 def _parse_periods(text: str) -> PeriodSet:
@@ -195,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-guard",
         type=int,
-        default=DEFAULT_ORACLE_GUARD,
-        help="skip the oracle build above this many positions",
+        default=ORACLE_MAX_LENGTH,
+        help=f"skip the oracle build above this many positions (at most {ORACLE_MAX_LENGTH})",
     )
 
     return parser

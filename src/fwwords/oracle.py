@@ -18,6 +18,7 @@ from .periods import PeriodSet
 from .words import Word, has_period
 
 EXHAUSTIVE_BOUND = 9
+ORACLE_MAX_LENGTH = 10**7  # most positions a command may ask of the oracle, whose state is O(n) lists
 
 
 class UnionFind:

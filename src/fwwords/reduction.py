@@ -114,10 +114,14 @@ def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int,
         if length <= m or m == gcd:
             yield cur, length, 0
             return
-        k = min(_window(cur), (length - 1) // m)
+        k = _window(cur)
+        shift = k * m
+        if shift >= length:
+            k = (length - 1) // m
+            shift = k * m
         yield cur, length, k
         cur = _jump(cur, k)
-        length -= k * m
+        length -= shift
 
 
 def chain_steps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, Termination | None]]:
@@ -149,12 +153,8 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
     affordable when n itself is too large to materialize.
     """
     *jumps, (cur, length, _) = _descent(periods, n)
-    if length <= cur[0]:
-        # all classes are singletons at this length
-        gen: Word = tuple(range(length))
-    else:
-        # min == gcd: classes are the residues mod min
-        gen = tuple(range(cur[0]))
+    # singleton classes if length <= min, else the residues mod min == gcd
+    gen: Word = tuple(range(min(length, cur[0])))
     for top_set, top, k in reversed(jumps):
         m = top_set[0]
         bottom = top - k * m
@@ -180,28 +180,20 @@ def fw_fast(periods: PeriodSet, n: int) -> Word:
 def letter_at(periods: PeriodSet, n: int, i: int) -> int:
     """fw_fast(periods, n)[i] without building any word.
 
-    Follows the same jumps as `generating_prefix` at O(1) cost per jump, so
-    single letters of astronomically long words resolve immediately. At a
-    level of length n' and minimum m: positions past n' - m (mod m) keep
-    the letter i mod m, everything else defers to the reduced level.
+    Follows the jumps of `generating_prefix` at O(1) cost per jump. A jump of
+    k steps at minimum m from length n' maps position i to i mod m, which is
+    the letter if it reaches n' - k*m and otherwise defers below the jump;
+    where the descent stops, i mod m is the letter.
     """
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
-    gcd = periods.gcd
-    cur = periods.periods
-    while True:
+    for cur, length, k in _descent(periods, n):
         m = cur[0]
-        if n <= m:
-            return i
-        if m == gcd:
-            return i % m
         i %= m
-        if i >= n - m:
+        if i >= length - k * m:
             return i
-        # descend while the level keeps deferring: needs n - t*m > i + m
-        k = min(_window(cur), (n - i - 1) // m)
-        cur = _jump(cur, k)
-        n -= k * m
+    # the stop (k == 0, i < length): a singleton if length <= m, else a residue mod m == gcd
+    return i
 
 
 def letter_at_unbatched(periods: PeriodSet, n: int, i: int) -> int:
@@ -231,15 +223,14 @@ def extremal_length(periods: PeriodSet) -> int | None:
     """
     if periods.gcd == periods.min_period:
         return None
-    gcd = periods.gcd
-    cur = periods.periods
-    jumps: list[tuple[int, int]] = []
-    while cur[0] != gcd:
-        k = _window(cur)
-        jumps.append((cur[0], k))
-        cur = _jump(cur, k)
+    # Length 2*sum(P) never caps a jump or stops the descent early: a jump of
+    # k steps at minimum m lowers the length by k*m and the set's sum by at
+    # least k*m, so the length stays above the set's sum, which exceeds both m
+    # and _window * m while min > gcd. So the descent ends at min == gcd.
+    *jumps, (cur, _, _) = _descent(periods, 2 * sum(periods.periods))
     value = cur[0] - 1
-    for m, k in reversed(jumps):
+    for top_set, _, k in reversed(jumps):
+        m = top_set[0]
         # k levels at the same minimum telescope: m + max(m-1, .) applied k
         # times equals k*m + max(m-1, .) because intermediate values exceed m-1
         value = k * m + max(m - 1, value)

@@ -6,6 +6,7 @@ thin wrapper around `run_selftest`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
@@ -26,6 +27,7 @@ from .words import canonicalize, is_palindrome, is_trivial, pref
 DEFAULT_MAX_PERIOD = 12
 DEFAULT_MAX_N = 40
 GRID_MAX_SET_SIZE = 3
+MAX_GRID_WORK = 10**7  # about 39 times the defaults' 256,578
 
 
 def grid_period_sets(max_period: int, max_size: int = GRID_MAX_SET_SIZE) -> list[PeriodSet]:
@@ -71,10 +73,17 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     fresh letters near the top of short words, extremal lengths against the
     surrounding trivial/non-trivial boundary, and palindromicity of extremal
     words (a renaming under reversal for every gcd, letterwise for gcd <= 2).
-    An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError.
+    An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
+    does one whose work exceeds MAX_GRID_WORK, counted before anything is
+    built as (L+1)(L+2)/2 per period set, L = max(max_period, max_n): that
+    covers the letter queries, the words and the extremal-boundary words.
     """
     if max_period < 1 or max_n < 0:
         raise OutOfRangeError(f"the grid needs max_period >= 1 and max_n >= 0, got {max_period} and {max_n}")
+    sets = sum(math.comb(max_period, size) for size in range(1, GRID_MAX_SET_SIZE + 1))
+    work = sets * math.comb(max(max_n, max_period) + 2, 2)
+    if work > MAX_GRID_WORK:
+        raise OutOfRangeError(f"the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n")
     report = SelftestReport(
         counts={
             "word-equivalence": 0,

@@ -14,6 +14,8 @@ import pytest
 from fwwords import cli
 from fwwords.cli import main, render_chain
 from fwwords import PeriodSet, Termination, alphabet, fw_fast, fw_oracle, is_trivial, letter_at, reduction_chain
+from fwwords.oracle import ORACLE_MAX_LENGTH
+from fwwords.selftest import MAX_GRID_WORK
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +198,14 @@ def test_selftest_empty_grid_exit_2(capsys, max_period, max_n):
     assert err.count("\n") == 1 and "max_period >= 1 and max_n >= 0" in err
 
 
+@pytest.mark.parametrize("max_period,max_n", [("1000", "40"), ("12", "1000000"), ("1000", "0"), ("41", "40")])
+def test_selftest_grid_work_bound_exit_2(capsys, max_period, max_n):
+    # refused from arithmetic alone: none of these grids is ever built
+    code, out, err = run_cli(capsys, "selftest", "--max-period", max_period, "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"exceeds {MAX_GRID_WORK}" in err
+
+
 def test_selftest_defaults(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
@@ -234,6 +244,18 @@ def test_bench_oracle_guard(capsys):
     )
     assert code == 0
     assert "oracle_word skipped (guard)" in out
+
+
+def test_bench_guard_is_the_oracle_limit(capsys):
+    too_long = str(ORACLE_MAX_LENGTH + 1)
+    code, out, _ = run_cli(capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1")
+    assert code == 0
+    assert "oracle_word skipped (guard)" in out and "fast_word median_ns=" in out
+    code, out, err = run_cli(
+        capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1", "--oracle-guard", too_long
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err
 
 
 def test_bench_zero_length(capsys):

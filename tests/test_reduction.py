@@ -134,13 +134,16 @@ def test_letter_at_out_of_range(n, i):
         letter_at_unbatched(PeriodSet([5, 7]), n, i)
 
 
-def test_letter_at_agrees_with_words_and_literal_recursion():
-    for ps in small_period_sets(8):
-        for n in range(22):
-            w = fw_fast(ps, n)
-            for i in range(n):
-                assert letter_at(ps, n, i) == w[i]
-                assert letter_at_unbatched(ps, n, i) == w[i]
+def test_letter_at_deepest_small_pair_around_extremal_length():
+    # (263, 372) has the deepest two-period descent with periods <= 400 (12
+    # jumps); check every position at n = E and E + 1, E its extremal length
+    ps = PeriodSet([263, 372])
+    extremal = extremal_length(ps)
+    assert extremal == 633
+    for n in (extremal, extremal + 1):
+        w = fw_fast(ps, n)
+        for i in range(n):
+            assert letter_at(ps, n, i) == w[i] == letter_at_unbatched(ps, n, i), (n, i)
 
 
 def test_letter_at_astronomical_inputs():
@@ -178,6 +181,17 @@ def test_extremal_batched_equals_unbatched():
         assert extremal_length(ps) == extremal_length_unbatched(ps)
 
 
+def test_extremal_length_deep_fibonacci_descents():
+    # consecutive Fibonacci numbers near 10**250 to 10**300: one jump per
+    # level, 1200 to 1436 jumps, all under the 2*sum(P) descent length
+    fib = [1, 2]
+    while len(fib) < 1437:
+        fib.append(fib[-1] + fib[-2])
+    for k in (1200, 1318, 1435):
+        p, q = fib[k], fib[k + 1]
+        assert extremal_length(PeriodSet([p, q])) == p + q - 2
+
+
 def test_extremal_word_for_coprime_pair_is_palindromic():
     ps = PeriodSet([5, 7])
     w = fw_fast(ps, 10)
@@ -202,18 +216,3 @@ def test_batched_reduce_equals_literal_iteration():
 def test_batched_reduce_rejects_bad_budget():
     with pytest.raises(ValueError):
         batched_reduce(PeriodSet([5, 7]), 0)
-
-
-def test_batched_reduce_replay_small():
-    for ps in small_period_sets(25, max_size=2):
-        literal = [ps]
-        cur = ps
-        while cur.min_period != cur.gcd:
-            cur = reduce_periods(cur)
-            literal.append(cur)
-        cur, taken = ps, 0
-        while cur.min_period != cur.gcd:
-            cur, k = batched_reduce(cur)
-            taken += k
-            assert cur == literal[taken]
-        assert taken == len(literal) - 1
