@@ -1,9 +1,10 @@
 """Maximal-alphabet words for a prescribed set of periods.
 
-Two independent engines build the same canonical word: a union-find closure
-over positions (`fw_oracle`) and a Euclid-style reduction (`fw_fast`), with
-single-letter queries (`letter_at`) and extremal non-trivial lengths
-(`extremal_length`) on top. `fwwords.cli` exposes the command-line surface.
+Two independent engines build the same canonical word: a closure search over
+the residues mod min(P) (`fw_oracle`) and a Euclid-style reduction
+(`fw_fast`), with single-letter queries (`letter_at`) and extremal
+non-trivial lengths (`extremal_length`) on top. `fwwords.cli` exposes the
+command-line surface.
 """
 
 from .bench import BenchRow, run_bench
@@ -17,7 +18,6 @@ from .errors import (
 from .oracle import (
     EXHAUSTIVE_BOUND,
     EquivalencePartition,
-    UnionFind,
     build_partition,
     class_count,
     fw_oracle,
@@ -64,7 +64,6 @@ __all__ = [
     "SelftestReport",
     "Termination",
     "TooLargeForExhaustiveError",
-    "UnionFind",
     "Word",
     "alphabet",
     "batched_reduce",

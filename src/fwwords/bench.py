@@ -52,12 +52,12 @@ def run_bench(
     materialize O(n) state). The fast leg above the same guard times
     `generating_prefix` instead of the full build: the word itself would not
     fit in memory either, and all that the full build adds is one periodic
-    copy of the prefix. A guard above ORACLE_MAX_LENGTH raises ValueError.
+    copy of the prefix. A guard outside 0..ORACLE_MAX_LENGTH raises ValueError.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if oracle_guard > ORACLE_MAX_LENGTH:
-        raise ValueError(f"the oracle guard is at most {ORACLE_MAX_LENGTH} positions, got {oracle_guard}")
+    if not 0 <= oracle_guard <= ORACLE_MAX_LENGTH:
+        raise ValueError(f"the oracle guard is 0 to {ORACLE_MAX_LENGTH} positions, got {oracle_guard}")
     rows = []
     if n <= oracle_guard:
         rows.append(BenchRow("fast_word", _median_ns(lambda: fw_fast(periods, n), repetitions), repetitions))

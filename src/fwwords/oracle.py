@@ -1,11 +1,13 @@
 """Ground-truth engine: equivalence closure of the period constraints.
 
-Positions of a word with periods P are forced equal in groups: the connected
-components of the graph whose edges join positions at distance min(P) or at
-distance p for any p in P. Labeling every position with the smallest member
-of its component gives, directly from the definition, the word of maximal
-alphabet with those periods. This is the simple-but-slow reference that the
-reduction engine in `fwwords.reduction` is checked against.
+Positions of a word with periods P are forced equal in groups: the classes of
+the relation that joins positions congruent mod m = min(P), and positions
+whose residues have in-range representatives a period apart. Labeling every
+position with the smallest member of its class gives, directly from the
+definition, the word of maximal alphabet with those periods. The closure is
+a search over the residues mod m that never reduces the period set, so it
+stays independent of the reduction engine in `fwwords.reduction` that it is
+checked against.
 """
 
 from __future__ import annotations
@@ -15,38 +17,10 @@ from functools import lru_cache
 
 from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
-from .words import Word, has_period
+from .words import Word, extend_periodically, has_period
 
 EXHAUSTIVE_BOUND = 9
-ORACLE_MAX_LENGTH = 10**7  # most positions a command may ask of the oracle, whose state is O(n) lists
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
+ORACLE_MAX_LENGTH = 10**7  # most positions a command may ask of the oracle, whose returned word is O(n)
 
 
 @dataclass(frozen=True)
@@ -70,28 +44,36 @@ class EquivalencePartition:
 def build_partition(periods: PeriodSet, k: int) -> EquivalencePartition:
     """Group positions {0..k-1} that any word with these periods must letter alike.
 
-    The defining relation also equates i and j whenever representatives
-    i' = i (mod m) and j' = j (mod m), m = min(periods), sit at distance p
-    for some period p. Generating edges as single steps i ~ i+m and
-    i ~ i+p suffices: a congruence step between in-range endpoints splits
-    into in-range m-steps (the chain is monotone between its endpoints),
-    and the two-sided form decomposes into m-steps plus one direct p-edge,
-    so the closures coincide. Periods >= k yield no in-range edge and drop
-    out on their own.
+    The defining relation equates i and j when i = j (mod m), m =
+    min(periods), or when in-range representatives of their residues sit at
+    distance p for some period p. The first clause needs no search: the
+    edges i ~ i+m already join each residue class. Since residue x's
+    smallest position is x itself, a period p joins x to (x + p) % m exactly
+    when x + p < k, and (x - p) % m = y to x exactly when y + p < k.
+    Periods >= k yield no edge and drop out.
 
-    Representatives are class minima, recovered in one ascending scan after
-    all unions. O(k) memory.
+    One ascending search over the min(m, k) residues: each residue not yet
+    labeled starts a class and labels it with its own index, which is the
+    class minimum. The word repeats those labels with period m.
     """
-    uf = UnionFind(k)
-    for p in periods:
-        for i in range(k - p):
-            uf.union(i, i + p)
-    min_of_root: dict[int, int] = {}
-    roots = [uf.find(i) for i in range(k)]
-    for i, root in enumerate(roots):
-        if root not in min_of_root:
-            min_of_root[root] = i
-    return EquivalencePartition(k, tuple(min_of_root[root] for root in roots))
+    m = periods.min_period
+    edges = [(p % m, k - p) for p in periods.periods[1:]]
+    labels = [-1] * min(m, k)
+    for start in range(len(labels)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for step, limit in edges:
+                down = (x - step) % m
+                # a direction with no edge maps to x, which is already labeled
+                for z in ((x + step) % m if x < limit else x, down if down < limit else x):
+                    if labels[z] < 0:
+                        labels[z] = start
+                        stack.append(z)
+    return EquivalencePartition(k, extend_periodically(tuple(labels), k))
 
 
 def fw_oracle(periods: PeriodSet, n: int) -> Word:
@@ -99,8 +81,8 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
 
     Unique up to renaming of letters; returned in canonical labeling (each
     letter is the smallest position of its class, so letter v first occurs
-    at position v). Costs O(n * len(periods)); use `fwwords.reduction.fw_fast`
-    for the same word at large n.
+    at position v). Costs O(min(m, n) * len(periods) + n) with m = min(periods);
+    use `fwwords.reduction.fw_fast` for the same word at large n.
     """
     if n < 0:
         raise OutOfRangeError(f"length must be >= 0, got {n}")
@@ -140,8 +122,8 @@ def max_alphabet_exhaustive(
 
     Enumerates every set partition of the n positions, keeps those whose
     min-labeled word has every period, and returns the best class count with
-    every maximizer (canonical labeling). Independent of the union-find
-    path, so it can vouch for fw_oracle's maximality and uniqueness claims.
+    every maximizer (canonical labeling). Independent of the residue
+    search, so it can vouch for fw_oracle's maximality and uniqueness claims.
     """
     if n > bound:
         raise TooLargeForExhaustiveError(f"n={n} exceeds exhaustive bound {bound}")

@@ -5,7 +5,7 @@ It preserves the gcd, and the maximal-alphabet word for (P, n) is the
 m-periodic extension of the one for (reduced P, n - m), patched with fresh
 letters where the shorter word does not reach. Descending until the length
 or the gcd makes the answer immediate, then re-extending, reproduces the
-union-find oracle's word letter for letter at a cost driven by the
+residue-search oracle's word letter for letter at a cost driven by the
 reduction chain instead of by n.
 
 Consecutive steps that share the same minimum are collapsed into single

@@ -251,11 +251,12 @@ def test_bench_guard_is_the_oracle_limit(capsys):
     code, out, _ = run_cli(capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1")
     assert code == 0
     assert "oracle_word skipped (guard)" in out and "fast_word median_ns=" in out
-    code, out, err = run_cli(
-        capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1", "--oracle-guard", too_long
-    )
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err
+    for guard in (too_long, "-5"):
+        code, out, err = run_cli(
+            capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1", "--oracle-guard", guard
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err and guard in err
 
 
 def test_bench_zero_length(capsys):

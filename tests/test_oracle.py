@@ -5,11 +5,11 @@ import pytest
 from fwwords import (
     PeriodSet,
     TooLargeForExhaustiveError,
-    UnionFind,
     alphabet,
     build_partition,
     canonicalize,
     class_count,
+    fw_fast,
     fw_oracle,
     has_period,
     max_alphabet_exhaustive,
@@ -67,8 +67,10 @@ def small_period_sets(max_period, max_size=3):
 
 
 def test_single_step_edges_match_two_clause_relation():
-    for ps in small_period_sets(7):
-        for k in range(15):
+    # k runs past 2·max(P): it covers k < min(P) and edges that reach only
+    # the residues x with x + p < k
+    for ps in small_period_sets(9, 4):
+        for k in range(2 * max(ps) + 3):
             assert build_partition(ps, k).reps == two_clause_partition(ps.periods, k), (ps, k)
 
 
@@ -78,6 +80,16 @@ def test_two_clause_relation_confirms_gcd_3_extremal_word():
     reps = two_clause_partition((6, 9), 11)
     assert reps == fw_oracle(PeriodSet([6, 9]), 11) == (0, 1, 2, 0, 1, 5, 0, 1, 2, 0, 1)
     assert reps[0] != reps[10]
+
+
+@pytest.mark.parametrize(
+    "periods",
+    # 900001 joins only the 99,999 residues below 10**6 - 900001
+    [(7, 11), (13, 17, 19), (8, 20, 30, 35), (412000, 412001), (600000, 900001)],
+)
+def test_fw_oracle_matches_fw_fast_at_a_million(periods):
+    ps = PeriodSet(periods)
+    assert fw_oracle(ps, 10**6) == fw_fast(ps, 10**6)
 
 
 def test_partition_of_worked_example():
@@ -132,17 +144,6 @@ def test_class_count():
     for ps in small_period_sets(5):
         for n in range(12):
             assert class_count(ps, n) == len(alphabet(fw_oracle(ps, n)))
-
-
-def test_union_find():
-    uf = UnionFind(6)
-    uf.union(0, 3)
-    uf.union(4, 5)
-    uf.union(3, 4)
-    assert uf.find(0) == uf.find(5)
-    assert uf.find(1) != uf.find(2)
-    uf.union(0, 0)
-    assert len({uf.find(i) for i in range(6)}) == 3
 
 
 def test_max_alphabet_known_cases():
