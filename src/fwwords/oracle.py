@@ -20,7 +20,8 @@ from .periods import PeriodSet
 from .words import Word, extend_periodically, has_period
 
 EXHAUSTIVE_BOUND = 9
-ORACLE_MAX_LENGTH = 10**7  # most positions a command may ask of the oracle, whose returned word is O(n)
+# most letters either engine materializes: the oracle's whole word, the fast engine's generating prefix
+ORACLE_MAX_LENGTH = 10**7
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
+from .oracle import ORACLE_MAX_LENGTH
 from .periods import PeriodSet
 from .words import Word, extend_periodically
 
@@ -150,8 +151,14 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
 
     The full word is its periodic extension to length n; this is the whole
     computation apart from that final copy, and the only part that stays
-    affordable when n itself is too large to materialize.
+    affordable when n itself is too large to materialize. A prefix longer
+    than ORACLE_MAX_LENGTH raises OutOfRangeError before anything is built.
     """
+    size = min(periods.min_period, n)
+    if size > ORACLE_MAX_LENGTH:
+        raise OutOfRangeError(
+            f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
+        )
     *jumps, (cur, length, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
     gen: Word = tuple(range(min(length, cur[0])))

@@ -1,14 +1,15 @@
 """Exhaustive cross-validation of the fast engine against the oracle.
 
-Everything here is pure and deterministic; the CLI `selftest` command is a
-thin wrapper around `run_selftest`.
+Each check family is defined once, in FAMILIES. Everything here is pure and
+deterministic; the CLI `selftest` command is a thin wrapper around
+`run_selftest`, and the acceptance tests run the same families.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 from .errors import OutOfRangeError
@@ -42,6 +43,96 @@ class _Failure(Exception):
     pass
 
 
+def _word_equivalence(ps: PeriodSet, max_n: int) -> int:
+    """fw_fast against fw_oracle at every length."""
+    for n in range(max_n + 1):
+        if fw_fast(ps, n) != fw_oracle(ps, n):
+            raise _Failure(f"fw_fast != fw_oracle for periods={ps} n={n}")
+    return max_n + 1
+
+
+def _letter_queries(ps: PeriodSet, max_n: int) -> int:
+    """letter_at and its literal twin against every letter of every word."""
+    for n in range(max_n + 1):
+        for i, letter in enumerate(fw_fast(ps, n)):
+            if letter_at(ps, n, i) != letter:
+                raise _Failure(f"letter_at mismatch for periods={ps} n={n} position={i}")
+            if letter_at_unbatched(ps, n, i) != letter:
+                raise _Failure(f"letter_at_unbatched mismatch for periods={ps} n={n} position={i}")
+    return max_n * (max_n + 1) // 2
+
+
+def _prefix_property(ps: PeriodSet, max_n: int) -> int:
+    """The reduced set's word is a prefix of the word m = min(P) letters longer."""
+    m = ps.min_period
+    reduced = reduce_periods(ps)
+    for n in range(max_n + 1):
+        if fw_oracle(reduced, n) != pref(fw_oracle(ps, n + m), n):
+            raise _Failure(f"reduced-set word is not a prefix for periods={ps} n={n}")
+    return max_n + 1
+
+
+def _singleton_letters(ps: PeriodSet, max_n: int) -> int:
+    """Positions n-m..m-1 of a word of length n > m carry fresh letters, each once."""
+    m = ps.min_period
+    for n in range(m + 1, max_n + 1):
+        word = fw_oracle(ps, n)
+        for i in range(max(0, n - m), m):
+            if word[i] != i or word.count(i) != 1:
+                raise _Failure(f"expected a unique fresh letter for periods={ps} n={n} position={i}")
+    return max(0, max_n - m)
+
+
+def _extremal_boundary(ps: PeriodSet, max_n: int) -> int:
+    """extremal_length equals its literal twin, its word is non-trivial and the
+    next 2*min(P) words are trivial. One check per period set with gcd < min."""
+    m = ps.min_period
+    if ps.gcd == m:
+        return 0
+    extremal = extremal_length(ps)
+    if extremal != extremal_length_unbatched(ps):
+        raise _Failure(f"jumped and literal extremal lengths differ for periods={ps}")
+    if is_trivial(fw_fast(ps, extremal), ps):
+        raise _Failure(f"extremal word is trivial for periods={ps}")
+    for extra in range(1, 2 * m + 1):
+        if not is_trivial(fw_fast(ps, extremal + extra), ps):
+            raise _Failure(f"non-trivial word past the extremal length for periods={ps} n={extremal + extra}")
+    return 1
+
+
+def _palindromes(ps: PeriodSet, max_n: int) -> int:
+    """Reversal maps the extremal word to a renaming of itself; the word is a
+    letterwise palindrome exactly when gcd <= 2. One check per period set with
+    gcd < min."""
+    if ps.gcd == ps.min_period:
+        return 0
+    # The position partition is reflection-symmetric, so reversal always
+    # renames. For gcd >= 3 reversal moves residue 0 mod gcd to residue gcd-2,
+    # so the end letters differ and no relabeling is a palindrome, e.g.
+    # FW({6,9}, 11) = 01201501201.
+    word = fw_fast(ps, extremal_length(ps))
+    if canonicalize(reversed(word)) != word:
+        raise _Failure(f"reversed extremal word is not a renaming for periods={ps}")
+    if ps.gcd <= 2 and not is_palindrome(word):
+        raise _Failure(f"extremal word is not a palindrome for periods={ps}")
+    if ps.gcd >= 3 and word[0] == word[-1]:
+        raise _Failure(f"extremal word has equal end letters despite gcd >= 3 for periods={ps}")
+    return 1
+
+
+# Each check family once, in report order: family(ps, max_n) checks one period
+# set at lengths 0..max_n, raises _Failure at the first counterexample and
+# returns its count. `run_selftest` and the acceptance tests both run these.
+FAMILIES: dict[str, Callable[[PeriodSet, int], int]] = {
+    "word-equivalence": _word_equivalence,
+    "letter-queries": _letter_queries,
+    "prefix-property": _prefix_property,
+    "singleton-letters": _singleton_letters,
+    "extremal-boundary": _extremal_boundary,
+    "palindromes": _palindromes,
+}
+
+
 @dataclass
 class SelftestReport:
     """Counts per check family; `failure` holds the first counterexample, if any."""
@@ -65,14 +156,10 @@ class SelftestReport:
 
 
 def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_N) -> SelftestReport:
-    """Cross-check the engines on every period set over {1..max_period} (at most
-    three elements) and every length up to max_n; stop at the first mismatch.
+    """Run every family of FAMILIES on every period set over {1..max_period}
+    (at most three elements) and every length up to max_n; stop at the first
+    mismatch.
 
-    Families: fast words against oracle words, letter queries (jumped and
-    literal) against word letters, reduced-set words as prefixes, forced
-    fresh letters near the top of short words, extremal lengths against the
-    surrounding trivial/non-trivial boundary, and palindromicity of extremal
-    words (a renaming under reversal for every gcd, letterwise for gcd <= 2).
     An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
     does one whose work exceeds MAX_GRID_WORK, counted before anything is
     built as (L+1)(L+2)/2 per period set, L = max(max_period, max_n): that
@@ -84,87 +171,11 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     work = sets * math.comb(max(max_n, max_period) + 2, 2)
     if work > MAX_GRID_WORK:
         raise OutOfRangeError(f"the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n")
-    report = SelftestReport(
-        counts={
-            "word-equivalence": 0,
-            "letter-queries": 0,
-            "prefix-property": 0,
-            "singleton-letters": 0,
-            "extremal-boundary": 0,
-            "palindromes": 0,
-        }
-    )
-    counts = report.counts
-    # the prefix family asks again for words the grid has built, and neighbours share lengths
-    oracle = cache(fw_oracle)
-
-    def check(cond: bool, message: str) -> None:
-        if not cond:
-            raise _Failure(message)
-
+    report = SelftestReport(counts=dict.fromkeys(FAMILIES, 0))
     try:
         for ps in grid_period_sets(max_period):
-            m = ps.min_period
-            for n in range(max_n + 1):
-                fast = fw_fast(ps, n)
-                slow = oracle(ps, n)
-                check(fast == slow, f"fw_fast != fw_oracle for periods={ps} n={n}")
-                counts["word-equivalence"] += 1
-                for i, letter in enumerate(fast):
-                    check(
-                        letter_at(ps, n, i) == letter,
-                        f"letter_at mismatch for periods={ps} n={n} position={i}",
-                    )
-                    check(
-                        letter_at_unbatched(ps, n, i) == letter,
-                        f"letter_at_unbatched mismatch for periods={ps} n={n} position={i}",
-                    )
-                    counts["letter-queries"] += 1
-                check(
-                    oracle(reduce_periods(ps), n) == pref(oracle(ps, n + m), n),
-                    f"reduced-set word is not a prefix for periods={ps} n={n}",
-                )
-                counts["prefix-property"] += 1
-                if n > m:
-                    for i in range(max(0, n - m), m):
-                        check(
-                            slow[i] == i and slow.count(i) == 1,
-                            f"expected a unique fresh letter for periods={ps} n={n} position={i}",
-                        )
-                    counts["singleton-letters"] += 1
-            if ps.gcd < m:
-                extremal = extremal_length(ps)
-                check(
-                    extremal == extremal_length_unbatched(ps),
-                    f"jumped and literal extremal lengths differ for periods={ps}",
-                )
-                check(
-                    not is_trivial(fw_fast(ps, extremal), ps),
-                    f"extremal word is trivial for periods={ps}",
-                )
-                for extra in range(1, 2 * m + 1):
-                    check(
-                        is_trivial(fw_fast(ps, extremal + extra), ps),
-                        f"non-trivial word past the extremal length for periods={ps} n={extremal + extra}",
-                    )
-                counts["extremal-boundary"] += 1
-                # Reversing an extremal word always yields a renaming of it
-                # (the position partition is reflection-symmetric); the letter
-                # sequence itself is palindromic when the gcd is at most 2.
-                # For gcd >= 3 reversal moves residue 0 mod gcd to residue
-                # gcd-2, so e.g. FW({6,9}, 11) = 01201501201 has no
-                # palindromic relabeling at all.
-                extremal_word = fw_fast(ps, extremal)
-                check(
-                    canonicalize(reversed(extremal_word)) == extremal_word,
-                    f"reversed extremal word is not a renaming for periods={ps}",
-                )
-                if ps.gcd <= 2:
-                    check(
-                        is_palindrome(extremal_word),
-                        f"extremal word is not a palindrome for periods={ps}",
-                    )
-                counts["palindromes"] += 1
+            for name, family in FAMILIES.items():
+                report.counts[name] += family(ps, max_n)
     except _Failure as exc:
         report.failure = str(exc)
     return report

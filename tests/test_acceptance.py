@@ -1,7 +1,9 @@
 """Acceptance suite: one test per checklist criterion, at its stated tolerance.
 
 Each test prints one `ACCEPTANCE <id>: PASS` line on success (visible with
-`pytest -s`); failures surface through pytest itself.
+`pytest -s`); failures surface through pytest itself. C2, C3, C4, C6 and C8
+run the check families of `fwwords selftest` (`fwwords.selftest.FAMILIES`)
+on its default grid, each family in exactly one criterion.
 
 Criterion 6 checks the palindrome theorem for extremal words. Write
 d = gcd(P) < min(P) and n = d(L'+1) - 1 for the extremal length, L' being
@@ -25,38 +27,24 @@ from itertools import combinations
 
 from fwwords import (
     PeriodSet,
-    batched_reduce,
-    canonicalize,
-    class_count,
     extremal_length,
-    extremal_length_unbatched,
     fw_fast,
     fw_oracle,
     grid_period_sets,
-    is_palindrome,
     is_trivial,
-    letter_at,
-    letter_at_unbatched,
-    max_alphabet_exhaustive,
-    pref,
-    reduce_periods,
-    reduction_chain,
 )
 from fwwords.cli import main, render_chain
+from fwwords.oracle import class_count, max_alphabet_exhaustive
+from fwwords.reduction import batched_reduce, reduce_periods, reduction_chain
+from fwwords.selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, FAMILIES
 
-GRID_MAX_PERIOD = 12
-GRID_MAX_N = 40
-
-_GRID_WORDS: dict[tuple[PeriodSet, int], tuple] = {}
+GRID = grid_period_sets(DEFAULT_MAX_PERIOD)
 
 
-def grid_words():
-    # shared by C2/C3/C4; built inside C2's timed region on first use
-    if not _GRID_WORDS:
-        for ps in grid_period_sets(GRID_MAX_PERIOD):
-            for n in range(GRID_MAX_N + 1):
-                _GRID_WORDS[(ps, n)] = (fw_fast(ps, n), fw_oracle(ps, n))
-    return _GRID_WORDS
+def run_family(name: str) -> int:
+    # one of `fwwords selftest`'s check families on its default grid; the
+    # counts the C-ids assert are the ones it prints, 280,025 in total
+    return sum(FAMILIES[name](ps, DEFAULT_MAX_N) for ps in GRID)
 
 
 def report(criterion: str) -> None:
@@ -88,39 +76,25 @@ def test_c1_worked_example_bit_exact(capsys):
 
 def test_c2_oracle_equivalence_grid():
     start = time.perf_counter()
-    words = grid_words()
-    assert len(words) == 12218  # 298 period sets x 41 lengths
-    for (ps, n), (fast, slow) in words.items():
-        assert fast == slow, f"word mismatch for periods={ps} n={n}"
-        for i, letter in enumerate(fast):
-            assert letter_at(ps, n, i) == letter, f"letter mismatch for periods={ps} n={n} i={i}"
+    words = run_family("word-equivalence")
+    letters = run_family("letter-queries")
     elapsed = time.perf_counter() - start
+    assert words == 12218  # 298 period sets x 41 lengths
+    assert letters == 244360  # 298 x (0 + 1 + ... + 40) positions, jumped and literal
     assert elapsed < 30, f"grid took {elapsed:.1f} s"
-    report(f"C2 oracle equivalence on the full grid ({len(words)} cases, {elapsed:.1f} s)")
+    report(f"C2 oracle equivalence on the full grid ({words} words, {letters} letters, {elapsed:.1f} s)")
 
 
 def test_c3_reduced_word_is_prefix():
-    checked = 0
-    for ps in grid_period_sets(GRID_MAX_PERIOD):
-        m = ps.min_period
-        reduced = reduce_periods(ps)
-        for n in range(GRID_MAX_N + 1):
-            assert fw_oracle(reduced, n) == pref(fw_oracle(ps, n + m), n), f"periods={ps} n={n}"
-            checked += 1
+    checked = run_family("prefix-property")
+    assert checked == 12218
     report(f"C3 prefix property ({checked} cases)")
 
 
 def test_c4_forced_fresh_letters():
-    checked = 0
-    for (ps, n), (_, slow) in grid_words().items():
-        m = ps.min_period
-        if n <= m:
-            continue
-        for i in range(max(0, n - m), m):
-            assert slow[i] == i, f"periods={ps} n={n} i={i}"
-            assert slow.count(i) == 1, f"periods={ps} n={n} i={i}"
-            checked += 1
-    report(f"C4 forced fresh letters ({checked} positions)")
+    checked = run_family("singleton-letters")
+    assert checked == 10841  # lengths n > min(P)
+    report(f"C4 forced fresh letters ({checked} words)")
 
 
 def test_c5_two_period_extremal_law():
@@ -145,27 +119,10 @@ def test_c5_two_period_extremal_law():
 
 
 def test_c6_extremal_words_palindromic_as_pinned():
-    # Reversal is a renaming for every gcd; letterwise palindromes for gcd <= 2.
-    # For gcd >= 3 reversal moves residue 0 to residue gcd-2, so the first and
-    # last letters differ and no labeling is a palindrome (module docstring).
-    gcd_at_least_3 = []
-    for ps in grid_period_sets(GRID_MAX_PERIOD):
-        if ps.gcd >= ps.min_period:
-            continue
-        word = fw_fast(ps, extremal_length(ps))
-        text = "".join(str(a) for a in word)
-        assert canonicalize(reversed(word)) == word, (
-            f"reversed extremal word for periods={ps} is not a renaming: {text}"
-        )
-        if ps.gcd <= 2:
-            assert is_palindrome(word), (
-                f"extremal word for periods={ps} is not letterwise palindromic: {text}"
-            )
-        else:
-            assert word[0] != word[-1], (
-                f"extremal word for periods={ps} has equal end letters despite gcd >= 3: {text}"
-            )
-            gcd_at_least_3.append(ps.periods)
+    # Reversal is a renaming for every gcd; letterwise palindromes for gcd <= 2,
+    # and for gcd >= 3 the end letters differ (module docstring)
+    assert run_family("palindromes") == 194  # period sets with gcd < min
+    gcd_at_least_3 = [ps.periods for ps in GRID if ps.min_period > ps.gcd >= 3]
     assert gcd_at_least_3 == [(6, 9), (8, 12), (9, 12), (6, 9, 12)]
     report("C6 extremal palindromes (renaming for every gcd, letterwise for gcd <= 2)")
 
@@ -200,13 +157,10 @@ def test_c8_batched_paths_equal_literal_paths():
             taken += k
             assert cur == literal[taken], f"jump diverges for periods={ps} after {taken} steps"
         assert taken == len(literal) - 1, f"step count differs for periods={ps}"
-    # jumped letter queries and extremal lengths equal their literal twins
-    for ps in grid_period_sets(GRID_MAX_PERIOD):
-        assert extremal_length(ps) == extremal_length_unbatched(ps), f"periods={ps}"
-        for n in range(GRID_MAX_N + 1):
-            for i in range(n):
-                assert letter_at(ps, n, i) == letter_at_unbatched(ps, n, i), f"periods={ps} n={n} i={i}"
-    report("C8 batching equivalence (reduction replay <= 60; letter/extremal on the full grid)")
+    # jumped extremal lengths equal their literal twins, at the triviality
+    # boundary (jumped letter queries: C2's letter-queries)
+    assert run_family("extremal-boundary") == 194
+    report("C8 batching equivalence (reduction replay <= 60; extremal boundary on the full grid)")
 
 
 def test_c9_performance_budgets(capsys):

@@ -13,8 +13,10 @@ import pytest
 
 from fwwords import cli
 from fwwords.cli import main, render_chain
-from fwwords import PeriodSet, Termination, alphabet, fw_fast, fw_oracle, is_trivial, letter_at, reduction_chain
+from fwwords import PeriodSet, Termination, fw_fast, fw_oracle, is_trivial, letter_at
 from fwwords.oracle import ORACLE_MAX_LENGTH
+from fwwords.reduction import reduction_chain
+from fwwords.words import alphabet
 from fwwords.selftest import MAX_GRID_WORK
 
 
@@ -206,12 +208,18 @@ def test_selftest_grid_work_bound_exit_2(capsys, max_period, max_n):
     assert err.count("\n") == 1 and f"exceeds {MAX_GRID_WORK}" in err
 
 
-def test_selftest_defaults(capsys):
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "all checks passed" in out
-    total = int(next(line for line in out.splitlines() if line.startswith("total-checks:")).split()[1])
-    assert total >= 10_000
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["word", "--periods", "10000000000", "--format", fmt] for fmt in ("ints", "dense", "json")),
+        ["bench", "--periods", "10000000000,10000000001"],
+    ],
+)
+def test_generating_prefix_above_the_limit_exit_2(capsys, argv):
+    # min(min P, length) = 10**10 letters: refused before the prefix is built
+    code, out, err = run_cli(capsys, *argv, "--length", "100000000000")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err
 
 
 def test_bench_text_output(capsys):

@@ -2,18 +2,10 @@ from itertools import combinations
 
 import pytest
 
-from fwwords import (
-    PeriodSet,
-    TooLargeForExhaustiveError,
-    alphabet,
-    build_partition,
-    canonicalize,
-    class_count,
-    fw_fast,
-    fw_oracle,
-    has_period,
-    max_alphabet_exhaustive,
-)
+from fwwords import PeriodSet, build_partition, canonicalize, fw_fast, fw_oracle, has_period
+from fwwords.errors import TooLargeForExhaustiveError
+from fwwords.oracle import class_count, max_alphabet_exhaustive
+from fwwords.words import alphabet
 
 W = (0, 1, 0, 3, 4, 0, 1, 0)
 

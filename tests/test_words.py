@@ -5,7 +5,6 @@ from fwwords import (
     InvalidPeriodError,
     OutOfRangeError,
     PeriodSet,
-    alphabet,
     canonicalize,
     extend_periodically,
     has_period,
@@ -13,6 +12,7 @@ from fwwords import (
     is_trivial,
     pref,
 )
+from fwwords.words import alphabet
 
 W = (0, 1, 0, 3, 4, 0, 1, 0)  # the maximal word for periods {5,7} at length 8
 
