@@ -11,30 +11,27 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
+from itertools import starmap
 
 from .bench import run_bench
-from .oracle import ORACLE_MAX_LENGTH, fw_oracle
+from .oracle import ORACLE_MAX_LENGTH, residue_labels
 from .periods import PeriodSet
-from .reduction import ReductionChain, chain_steps, extremal_length, generating_prefix, letter_at
+from .reduction import ReductionChain, chain_jumps, extremal_length, generating_prefix, letter_at
 from .selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, run_selftest
 from .words import extend_periodically, is_trivial
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-STREAM_CHUNK = 1 << 13  # letters per write of `word`, characters per write of `chain`
+STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of `chain`
 
 
 def _parse_periods(text: str) -> PeriodSet:
     return PeriodSet(int(part) for part in text.split(","))
 
 
-def _chain_line(idx: int, periods: Iterable[int], length: int) -> str:
-    return f"Q{idx}={{{','.join(map(str, periods))}}} n{idx}={length}"
-
-
 def render_chain(chain: ReductionChain) -> str:
     """One line per step, `Qi={...} ni=<len>`, then the termination tag."""
-    lines = [_chain_line(idx, ps, length) for idx, (ps, length) in enumerate(chain.steps)]
+    lines = [f"Q{idx}={{{','.join(map(str, ps))}}} n{idx}={length}" for idx, (ps, length) in enumerate(chain.steps)]
     lines.append(chain.termination.value)
     return "\n".join(lines)
 
@@ -66,13 +63,13 @@ def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
     # The word is the periodic extension of `prefix` to length n: the
-    # generating prefix for the fast engine, the whole word for the oracle.
+    # generating prefix for the fast engine, the residue labels for the oracle.
     if args.engine == "oracle":
         if n > ORACLE_MAX_LENGTH:
             raise ValueError(
                 f"the oracle engine builds at most {ORACLE_MAX_LENGTH} positions; use --engine fast for longer words"
             )
-        prefix = fw_oracle(ps, n)
+        prefix = residue_labels(ps, n)
     else:
         prefix = generating_prefix(ps, n)
     token, sep, head, tail = str, " ", "", ""
@@ -117,20 +114,20 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    # the lines of render_chain(reduction_chain(...)), written as the descent
-    # produces them, in writes of about STREAM_CHUNK characters
+    # render_chain(reduction_chain(...)), formatted per run of steps that share a minimum
     write = sys.stdout.write
-    lines: list[str] = []
-    size = 0
-    for idx, (periods, length, end) in enumerate(chain_steps(_parse_periods(args.periods), args.length)):
-        lines.append(_chain_line(idx, periods, length))
-        size += len(lines[-1])
-        if size >= STREAM_CHUNK:
-            write("\n".join(lines) + "\n")
-            lines.clear()
-            size = 0
-    lines.append(end.value)
-    write("\n".join(lines) + "\n")
+    idx = 0
+    for periods, length, k, end in chain_jumps(_parse_periods(args.periods), args.length):
+        # step s < k is line.format(idx + s, length - s*m, *(p - s*m for p in rest)),
+        # with line "Q{0}={{5,{2}}} n{0}={1}\n" for periods (5, p)
+        m, rest = periods[0], periods[1:]
+        line = "Q{0}={{" + ",".join([str(m), *(f"{{{j}}}" for j in range(2, len(periods) + 1))]) + "}} n{0}={1}\n"
+        for a in range(0, k, STREAM_CHUNK):
+            b = min(a + STREAM_CHUNK, k)
+            columns = [range(idx + a, idx + b), *(range(p - a * m, p - b * m, -m) for p in (length, *rest))]
+            write("".join(starmap(line.format, zip(*columns))))
+        idx += k
+    write(f"{end.value}\n")
     return 0
 
 

@@ -31,9 +31,6 @@ class EquivalencePartition:
     length: int
     reps: Word
 
-    def class_count(self) -> int:
-        return len(set(self.reps))
-
     def classes(self) -> list[tuple[int, ...]]:
         """The classes themselves, each ascending, ordered by their minima."""
         by_rep: dict[int, list[int]] = {}
@@ -42,21 +39,23 @@ class EquivalencePartition:
         return [tuple(by_rep[r]) for r in sorted(by_rep)]
 
 
-def build_partition(periods: PeriodSet, k: int) -> EquivalencePartition:
-    """Group positions {0..k-1} that any word with these periods must letter alike.
+def residue_labels(periods: PeriodSet, k: int) -> Word:
+    """The class labels of the min(m, k) residues mod m = min(periods) at length k.
 
-    The defining relation equates i and j when i = j (mod m), m =
-    min(periods), or when in-range representatives of their residues sit at
-    distance p for some period p. The first clause needs no search: the
-    edges i ~ i+m already join each residue class. Since residue x's
-    smallest position is x itself, a period p joins x to (x + p) % m exactly
-    when x + p < k, and (x - p) % m = y to x exactly when y + p < k.
-    Periods >= k yield no edge and drop out.
+    The defining relation equates i and j when i = j (mod m), or when
+    in-range representatives of their residues sit at distance p for some
+    period p. The first clause needs no search: the edges i ~ i+m already
+    join each residue class. Since residue x's smallest position is x
+    itself, a period p joins x to (x + p) % m exactly when x + p < k, and
+    (x - p) % m = y to x exactly when y + p < k. Periods >= k yield no edge
+    and drop out.
 
-    One ascending search over the min(m, k) residues: each residue not yet
-    labeled starts a class and labels it with its own index, which is the
-    class minimum. The word repeats those labels with period m.
+    One ascending search over the residues: each residue not yet labeled
+    starts a class and labels it with its own index, which is the class
+    minimum. The word repeats those labels with period m.
     """
+    if k < 0:
+        raise OutOfRangeError(f"length must be >= 0, got {k}")
     m = periods.min_period
     edges = [(p % m, k - p) for p in periods.periods[1:]]
     labels = [-1] * min(m, k)
@@ -74,7 +73,12 @@ def build_partition(periods: PeriodSet, k: int) -> EquivalencePartition:
                     if labels[z] < 0:
                         labels[z] = start
                         stack.append(z)
-    return EquivalencePartition(k, extend_periodically(tuple(labels), k))
+    return tuple(labels)
+
+
+def build_partition(periods: PeriodSet, k: int) -> EquivalencePartition:
+    """Group positions {0..k-1} that any word with these periods must letter alike."""
+    return EquivalencePartition(k, extend_periodically(residue_labels(periods, k), k))
 
 
 def fw_oracle(periods: PeriodSet, n: int) -> Word:
@@ -85,14 +89,12 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
     at position v). Costs O(min(m, n) * len(periods) + n) with m = min(periods);
     use `fwwords.reduction.fw_fast` for the same word at large n.
     """
-    if n < 0:
-        raise OutOfRangeError(f"length must be >= 0, got {n}")
     return build_partition(periods, n).reps
 
 
 def class_count(periods: PeriodSet, n: int) -> int:
     """Alphabet size of fw_oracle(periods, n) without keeping the word."""
-    return build_partition(periods, n).class_count()
+    return len(set(residue_labels(periods, n)))
 
 
 @lru_cache(maxsize=16)

@@ -42,10 +42,15 @@ class ReductionChain:
     termination: Termination
 
 
+def _reduce(periods: tuple[int, ...]) -> tuple[int, ...]:
+    # The literal step on a sorted tuple, for the twins: it shares no code with the jumps.
+    m = periods[0]
+    return tuple(sorted({p - m for p in periods if p != m} | {m}))
+
+
 def reduce_periods(periods: PeriodSet) -> PeriodSet:
     """One reduction step: subtract the minimum from every other period, keep the minimum."""
-    m = periods.min_period
-    return PeriodSet({p - m for p in periods if p != m} | {m})
+    return PeriodSet(_reduce(periods.periods))
 
 
 def _window(periods: tuple[int, ...]) -> int:
@@ -125,25 +130,14 @@ def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int,
         length -= shift
 
 
-def chain_steps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, Termination | None]]:
-    """The steps of reduction_chain(periods, n), produced as the jump descent runs.
-
-    Yields (sorted periods, length) per literal step, outermost first, with
-    the chain's termination on the last step and None on every other. Memory
-    stays bounded however many steps the chain has; a negative length raises
-    OutOfRangeError at the first step.
-    """
+def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, int, Termination | None]]:
+    """The steps of reduction_chain(periods, n) in runs sharing a minimum m, as
+    the jump descent makes them: (sorted periods, length, k, None) stands for k
+    steps, step s being m and the other periods minus s*m, in order (see
+    _window), at length - s*m. The last run is the last step, with its termination."""
     for cur, length, k in _descent(periods, n):
-        if not k:
-            end = Termination.LENGTH_AT_MOST_MIN if length <= cur[0] else Termination.GCD_EQUALS_MIN
-            yield cur, length, end
-            return
-        yield cur, length, None
-        # Inside a jump the minimum m stays and every other element exceeds m
-        # (see _window), so each set is m followed by the shifted rest, in order.
-        m, rest = cur[0], cur[1:]
-        for shift in range(m, k * m, m):
-            yield (m, *[p - shift for p in rest]), length - shift, None
+        end = None if k else Termination.LENGTH_AT_MOST_MIN if length <= cur[0] else Termination.GCD_EQUALS_MIN
+        yield cur, length, k or 1, end
 
 
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
@@ -207,15 +201,15 @@ def letter_at_unbatched(periods: PeriodSet, n: int, i: int) -> int:
     """One-level-at-a-time twin of letter_at; O(n / min) levels, test use only."""
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
-    cur = periods
+    cur = periods.periods
     while True:
-        m = cur.min_period
+        m = cur[0]
         if n <= m:
             return i
         r = i % m
         if r >= n - m:
             return r
-        cur, n, i = reduce_periods(cur), n - m, r
+        cur, n, i = _reduce(cur), n - m, r
 
 
 def extremal_length(periods: PeriodSet) -> int | None:
@@ -249,11 +243,11 @@ def extremal_length_unbatched(periods: PeriodSet) -> int | None:
     if periods.gcd == periods.min_period:
         return None
     mins: list[int] = []
-    cur = periods
-    while cur.min_period != cur.gcd:
-        mins.append(cur.min_period)
-        cur = reduce_periods(cur)
-    value = cur.min_period - 1
+    cur = periods.periods
+    while cur[0] != periods.gcd:  # a step keeps the gcd
+        mins.append(cur[0])
+        cur = _reduce(cur)
+    value = cur[0] - 1
     for m in reversed(mins):
         value = m + max(m - 1, value)
     return value

@@ -28,7 +28,7 @@ from .words import canonicalize, is_palindrome, is_trivial, pref
 DEFAULT_MAX_PERIOD = 12
 DEFAULT_MAX_N = 40
 GRID_MAX_SET_SIZE = 3
-MAX_GRID_WORK = 10**7  # about 39 times the defaults' 256,578
+MAX_GRID_WORK = 10**7  # about 3 times the defaults' 3,404,294
 
 
 def grid_period_sets(max_period: int, max_size: int = GRID_MAX_SET_SIZE) -> list[PeriodSet]:
@@ -162,13 +162,20 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
 
     An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
     does one whose work exceeds MAX_GRID_WORK, counted before anything is
-    built as (L+1)(L+2)/2 per period set, L = max(max_period, max_n): that
-    covers the letter queries, the words and the extremal-boundary words.
+    built. Each period set counts (L+1)(L+2)/2, L = max(max_period, max_n),
+    for the letter queries, the words and the extremal-boundary words, plus
+    the levels letter_at_unbatched descends: the sum of k * (k // m + 1) over
+    lengths k <= max_n, m = min(P), taken in closed form.
     """
     if max_period < 1 or max_n < 0:
         raise OutOfRangeError(f"the grid needs max_period >= 1 and max_n >= 0, got {max_period} and {max_n}")
     sets = sum(math.comb(max_period, size) for size in range(1, GRID_MAX_SET_SIZE + 1))
     work = sets * math.comb(max(max_n, max_period) + 2, 2)
+    if work <= MAX_GRID_WORK:  # so max_period <= 40 and the loop is short
+        for m in range(1, max_period + 1):  # the sets with minimum m
+            q = max_n // m
+            levels = (q + 1) * (6 * max_n * (max_n + 1) - m * q * (m * (2 * q + 1) - 3)) // 12
+            work += levels * sum(math.comb(max_period - m, size) for size in range(GRID_MAX_SET_SIZE))
     if work > MAX_GRID_WORK:
         raise OutOfRangeError(f"the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n")
     report = SelftestReport(counts=dict.fromkeys(FAMILIES, 0))

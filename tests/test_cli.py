@@ -3,6 +3,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from fwwords import PeriodSet, Termination, fw_fast, fw_oracle, is_trivial, lett
 from fwwords.oracle import ORACLE_MAX_LENGTH
 from fwwords.reduction import reduction_chain
 from fwwords.words import alphabet
-from fwwords.selftest import MAX_GRID_WORK
+from fwwords.selftest import MAX_GRID_WORK, grid_period_sets
 
 
 def run_cli(capsys, *argv):
@@ -200,12 +201,25 @@ def test_selftest_empty_grid_exit_2(capsys, max_period, max_n):
     assert err.count("\n") == 1 and "max_period >= 1 and max_n >= 0" in err
 
 
-@pytest.mark.parametrize("max_period,max_n", [("1000", "40"), ("12", "1000000"), ("1000", "0"), ("41", "40")])
+@pytest.mark.parametrize(
+    "max_period,max_n", [("1000", "40"), ("12", "1000000"), ("1000", "0"), ("41", "40"), ("1", "4400")]
+)
 def test_selftest_grid_work_bound_exit_2(capsys, max_period, max_n):
     # refused from arithmetic alone: none of these grids is ever built
     code, out, err = run_cli(capsys, "selftest", "--max-period", max_period, "--max-n", max_n)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and f"exceeds {MAX_GRID_WORK}" in err
+
+
+@pytest.mark.parametrize("max_period,max_n", [(3, 1500), (2, 600)])
+def test_selftest_work_counts_the_literal_levels(capsys, max_period, max_n):
+    # letter_at_unbatched descends up to n // min(P) + 1 levels for each of
+    # the n queries at length n, which the closed form in the guard sums
+    sets = grid_period_sets(max_period)
+    levels = sum(n * (n // ps.min_period + 1) for ps in sets for n in range(max_n + 1))
+    work = len(sets) * math.comb(max(max_period, max_n) + 2, 2) + levels
+    code, out, err = run_cli(capsys, "selftest", "--max-period", str(max_period), "--max-n", str(max_n))
+    assert (code, out, err) == (2, "", f"error: the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n\n")
 
 
 @pytest.mark.parametrize(
@@ -308,17 +322,14 @@ def _reference_output(ps, n, fmt, w):
 def test_word_streams_the_materialized_word(monkeypatch):
     # A 7-letter chunk sends short prefixes through the repeated-rendering
     # path with a partial tail, prefixes of 8..12 letters through the
-    # cached-slice path, and the oracle's whole word through the path that
-    # renders one slice at a time.
+    # cached-slice path, and words of at most min(P) letters, which are their
+    # own prefix, through the path that renders one slice at a time.
     monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
-    # one oracle build per case serves the reference and all three formats
-    oracle = functools.lru_cache(maxsize=1)(fw_oracle)
-    monkeypatch.setattr(cli, "fw_oracle", oracle)
     cases = [(values, n) for size in (1, 2, 3) for values in combinations(range(1, 13), size) for n in range(45)]
     cases += [(values, n) for values in ((5, 7), (6, 9), (12, 18, 27), (8, 20, 30, 35)) for n in (99, 1000, 4321)]
     for values, n in cases:
         ps = PeriodSet(values)
-        for engine, build in (("fast", fw_fast), ("oracle", oracle)):
+        for engine, build in (("fast", fw_fast), ("oracle", fw_oracle)):
             w = build(ps, n)
             for fmt in ("ints", "dense", "json"):
                 args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
@@ -342,9 +353,14 @@ def test_word_oracle_size_guard(capsys, monkeypatch):
 
 def _read_head_then_close(argv, size):
     """Run `fwwords argv`, read `size` bytes of its stdout, close the pipe and
-    reap the child: (head, exit code, stderr, resource usage)."""
+    reap the child: (head, exit code, stderr, resource usage, peak RSS in KiB
+    before the pipe closed)."""
     proc = subprocess.Popen([sys.executable, "-m", "fwwords", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = proc.stdout.read(size)
+    # The writer waits on the full pipe. Its ru_maxrss cannot go below this
+    # process's peak, which a vfork+exec child inherits; VmHWM is its own.
+    with open(f"/proc/{proc.pid}/status") as status_file:
+        peak_kb = next(int(line.split()[1]) for line in status_file if line.startswith("VmHWM:"))
     proc.stdout.close()
     deadline = time.monotonic() + 60
     while True:
@@ -359,7 +375,7 @@ def _read_head_then_close(argv, size):
     err = proc.stderr.read()
     proc.stderr.close()
     assert pid, "the writer did not stop after its reader closed the pipe"
-    return head, proc.returncode, err, usage
+    return head, proc.returncode, err, usage, peak_kb
 
 
 def test_word_closed_pipe_streams_in_bounded_memory():
@@ -367,7 +383,7 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     # takes 1 MiB and closes the pipe; the writer stops quietly with exit 0.
     ps, n, size = PeriodSet([5, 7]), 10**11, 1 << 20
     argv = ["word", "--periods", "5,7", "--length", str(n), "--format", "dense"]
-    head, code, err, usage = _read_head_then_close(argv, size)
+    head, code, err, usage, _ = _read_head_then_close(argv, size)
     assert len(head) == size
     for i in (0, 1, 7, 12345, size - 1):
         assert head[i : i + 1].decode() == cli.DENSE_DIGITS[letter_at(ps, n, i)]
@@ -375,12 +391,25 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
 
 
+def test_word_oracle_streams_in_bounded_memory():
+    # The oracle writes the periodic extension of its 412,000 residue labels;
+    # the whole 10**7-letter word would take about 80 MB as a tuple.
+    ps, n = PeriodSet([412000, 600001]), 10**7
+    argv = ["word", "--engine", "oracle", "--periods", "412000,600001", "--length", str(n), "--format", "ints"]
+    head, code, err, _, peak_kb = _read_head_then_close(argv, 1 << 20)
+    letters = head.decode().split(" ")[:-1]  # the last letter may be cut
+    assert len(letters) > 100_000
+    assert all(letters[i] == str(letter_at(ps, n, i)) for i in (*range(0, len(letters), 1009), len(letters) - 1))
+    assert (code, err) == (0, b"")
+    assert peak_kb < 40 * 1024
+
+
 def test_chain_closed_pipe_streams_in_bounded_memory():
     # 1,000,143 literal steps, all but 144 inside the first arithmetic jump;
     # holding them all as period sets takes over 400 MB.
     m, big, n = 1000, 1000000007, 10**12
     argv = ["chain", "--periods", f"{m},{big}", "--length", str(n)]
-    head, code, err, usage = _read_head_then_close(argv, 1 << 20)
+    head, code, err, usage, _ = _read_head_then_close(argv, 1 << 20)
     lines = head.decode().split("\n")[:-1]  # the last line may be cut
     assert len(lines) > 10_000
     assert lines == [f"Q{k}={{{m},{big - k * m}}} n{k}={n - k * m}" for k in range(len(lines))]
