@@ -9,58 +9,37 @@ twins of the jumped routines, the exhaustive maximality search) stays in its
 defining module and is not exported here.
 """
 
-from .bench import BenchRow, run_bench
-from .errors import (
-    EmptyGeneratorError,
-    EmptyPeriodSetError,
-    InvalidPeriodError,
-    OutOfRangeError,
-)
-from .oracle import build_partition, fw_oracle
-from .periods import PeriodSet
-from .reduction import (
-    Termination,
-    extremal_length,
-    fw_fast,
-    generating_prefix,
-    letter_at,
-)
-from .selftest import SelftestReport, grid_period_sets, run_selftest
-from .words import (
-    Word,
-    canonicalize,
-    extend_periodically,
-    has_period,
-    is_palindrome,
-    is_trivial,
-    pref,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchRow",
-    "EmptyGeneratorError",
-    "EmptyPeriodSetError",
-    "InvalidPeriodError",
-    "OutOfRangeError",
-    "PeriodSet",
-    "SelftestReport",
-    "Termination",
-    "Word",
-    "build_partition",
-    "canonicalize",
-    "extend_periodically",
-    "extremal_length",
-    "fw_fast",
-    "fw_oracle",
-    "generating_prefix",
-    "grid_period_sets",
-    "has_period",
-    "is_palindrome",
-    "is_trivial",
-    "letter_at",
-    "pref",
-    "run_bench",
-    "run_selftest",
-]
+# Each public name with the module that defines it. A name is imported on
+# first use, so `import fwwords` loads no submodule and a command loads only
+# what it runs.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "bench": ("BenchRow", "run_bench"),
+        "errors": ("EmptyGeneratorError", "EmptyPeriodSetError", "InvalidPeriodError", "OutOfRangeError"),
+        "oracle": ("build_partition", "fw_oracle"),
+        "periods": ("PeriodSet",),
+        "reduction": ("Termination", "extremal_length", "fw_fast", "generating_prefix", "letter_at"),
+        "selftest": ("SelftestReport", "grid_period_sets", "run_selftest"),
+        "words": ("Word", "canonicalize", "extend_periodically", "has_period", "is_palindrome", "is_trivial", "pref"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # Looked up on every access and never stored here, so whoever patches a
+    # name in its defining module, and later restores it, is seen at once.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

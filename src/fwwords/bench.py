@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import statistics
 import time
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .oracle import ORACLE_MAX_LENGTH, fw_oracle
+from .oracle import fw_oracle
 from .periods import PeriodSet
 from .reduction import fw_fast, generating_prefix, letter_at
+from .words import ORACLE_MAX_LENGTH
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     engine: str
     median_ns: int | None
     runs: int
@@ -37,7 +35,9 @@ def _median_ns(fn: Callable[[], object], repetitions: int) -> int:
         start = time.perf_counter_ns()
         fn()
         samples.append(time.perf_counter_ns() - start)
-    return int(statistics.median(samples))
+    samples.sort()
+    mid = len(samples) // 2
+    return samples[mid] if len(samples) % 2 else int((samples[mid - 1] + samples[mid]) / 2)  # as statistics.median
 
 
 def run_bench(

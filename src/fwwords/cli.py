@@ -8,18 +8,17 @@ with a single trailing newline.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterator
 from itertools import starmap
 
-from .bench import run_bench
-from .oracle import ORACLE_MAX_LENGTH, residue_labels
 from .periods import PeriodSet
 from .reduction import ReductionChain, chain_jumps, extremal_length, generating_prefix, letter_at
-from .selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, run_selftest
-from .words import extend_periodically, is_trivial
+from .words import ORACLE_MAX_LENGTH, extend_periodically, is_trivial
+
+# What only some commands run (the oracle, bench, selftest, json) is imported
+# in their handlers, so a query process never loads it.
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of `chain`
@@ -69,6 +68,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"the oracle engine builds at most {ORACLE_MAX_LENGTH} positions; use --engine fast for longer words"
             )
+        from .oracle import residue_labels
+
         prefix = residue_labels(ps, n)
     else:
         prefix = generating_prefix(ps, n)
@@ -78,6 +79,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
             raise ValueError("AlphabetTooLargeForDense: dense mode needs every letter below 36")
         token, sep = DENSE_DIGITS.__getitem__, ""
     elif args.format == "json":
+        import json
+
         # the gcd divides len(prefix) unless prefix is the whole word, so the
         # prefix has the gcd as a period exactly when the word does
         doc = {
@@ -132,16 +135,23 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    report = run_selftest(args.max_period, args.max_n)
+    from .selftest import run_selftest
+
+    # an option left out is absent from args, so run_selftest's default applies
+    report = run_selftest(**{key: value for key, value in vars(args).items() if key != "handler"})
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run_bench
+
     ps = _parse_periods(args.periods)
     rows = run_bench(ps, args.length, args.repetitions, args.oracle_guard)
     if args.format == "json":
+        import json
+
         print(json.dumps({"rows": [row.as_dict() for row in rows]}))
     else:
         for row in rows:
@@ -180,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", required=True, type=int)
 
     p = add("selftest", _cmd_selftest, "cross-check the engines on a small exhaustive grid")
-    p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--max-period", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
 
     p = add("bench", _cmd_bench, "time the engines (report only)")
     p.add_argument("--periods", required=True)

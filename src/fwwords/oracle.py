@@ -12,20 +12,17 @@ checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
-from .words import Word, extend_periodically, has_period
+from .words import ORACLE_MAX_LENGTH, Word, extend_periodically, has_period  # noqa: F401, the limit is re-exported
 
 EXHAUSTIVE_BOUND = 9
-# most letters either engine materializes: the oracle's whole word, the fast engine's generating prefix
-ORACLE_MAX_LENGTH = 10**7
 
 
-@dataclass(frozen=True)
-class EquivalencePartition:
+class EquivalencePartition(NamedTuple):
     """Partition of {0..length-1}; reps[i] is the smallest position equivalent to i."""
 
     length: int

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfRangeError
-from .oracle import ORACLE_MAX_LENGTH
 from .periods import PeriodSet
-from .words import Word, extend_periodically
+from .words import ORACLE_MAX_LENGTH, Word, extend_periodically
 
 
 class Termination(enum.Enum):
@@ -34,8 +33,7 @@ class Termination(enum.Enum):
     GCD_EQUALS_MIN = "GcdEqualsMin"
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(NamedTuple):
     """Every (period set, length) pair visited, outermost first."""
 
     steps: tuple[tuple[PeriodSet, int], ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import OutOfRangeError
@@ -133,12 +132,12 @@ FAMILIES: dict[str, Callable[[PeriodSet, int], int]] = {
 }
 
 
-@dataclass
 class SelftestReport:
     """Counts per check family; `failure` holds the first counterexample, if any."""
 
-    counts: dict[str, int] = field(default_factory=dict)
-    failure: str | None = None
+    def __init__(self, counts: dict[str, int] | None = None, failure: str | None = None) -> None:
+        self.counts = {} if counts is None else counts
+        self.failure = failure
 
     @property
     def ok(self) -> bool:
@@ -158,7 +157,7 @@ class SelftestReport:
 def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_N) -> SelftestReport:
     """Run every family of FAMILIES on every period set over {1..max_period}
     (at most three elements) and every length up to max_n; stop at the first
-    mismatch.
+    mismatch, or at the first exception a family raises.
 
     An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
     does one whose work exceeds MAX_GRID_WORK, counted before anything is
@@ -185,4 +184,6 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
                 report.counts[name] += family(ps, max_n)
     except _Failure as exc:
         report.failure = str(exc)
+    except Exception as exc:  # an engine that raises fails the run as a wrong answer does
+        report.failure = f"{name} raised {type(exc).__name__}: {exc} for periods={ps}"
     return report

@@ -13,6 +13,8 @@ from .errors import EmptyGeneratorError, InvalidPeriodError, OutOfRangeError
 from .periods import PeriodSet
 
 Word = tuple[int, ...]
+# most letters either engine materializes: the oracle's whole word, the fast engine's generating prefix
+ORACLE_MAX_LENGTH = 10**7
 
 
 def pref(w: Word, k: int) -> Word:

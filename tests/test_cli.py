@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from fwwords import cli
+from fwwords import cli, selftest
 from fwwords.cli import main, render_chain
 from fwwords import PeriodSet, Termination, fw_fast, fw_oracle, is_trivial, letter_at
 from fwwords.oracle import ORACLE_MAX_LENGTH
@@ -194,6 +194,17 @@ def test_selftest_degenerate_grid(capsys):
     assert "all checks passed" in out
 
 
+def test_selftest_reports_an_engine_that_raises(capsys, monkeypatch):
+    def raising(ps, max_n):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setitem(selftest.FAMILIES, "prefix-property", raising)
+    code, out, err = run_cli(capsys, "selftest", "--max-period", "2", "--max-n", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL: prefix-property raised IndexError: tuple index out of range for periods={1}"
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("max_period,max_n", [("0", "-1"), ("3", "-5"), ("0", "5")])
 def test_selftest_empty_grid_exit_2(capsys, max_period, max_n):
     code, out, err = run_cli(capsys, "selftest", "--max-period", max_period, "--max-n", max_n)
@@ -303,6 +314,37 @@ def test_module_entry_point():
     assert result.stdout == "01034010\n"
 
 
+def _loaded_modules(code, *argv):
+    """The modules a fresh interpreter holds after running `code` with argv."""
+    script = f"import sys\n{code}\nsys.stdout.flush()\nsys.stderr.write(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["at", "--periods", "5,7", "--length", "8", "--index", "3"],
+        ["extremal", "--periods", "5,7"],
+        ["chain", "--periods", "5,7", "--length", "8"],
+        *(
+            ["word", "--engine", "fast", "--periods", "5,7", "--length", "8", "--format", fmt]
+            for fmt in ("ints", "dense", "json")
+        ),
+    ],
+    ids=["at", "extremal", "chain", "word-ints", "word-dense", "word-json"],
+)
+def test_query_commands_import_only_what_they_run(argv):
+    # Measured against a bare interpreter, so modules that site preloads do not count.
+    added = _loaded_modules("from fwwords import cli\ncli.main(sys.argv[1:])", *argv) - _loaded_modules("")
+    assert {m for m in added if m.startswith("fwwords")} == {
+        "fwwords", "fwwords.cli", "fwwords.errors", "fwwords.periods", "fwwords.reduction", "fwwords.words"
+    }
+    assert not added & {"fwwords.bench", "fwwords.selftest", "fwwords.oracle", "dataclasses", "statistics"}
+    assert ("json" in added) == (argv[-1] == "json")
+
+
 def _reference_output(ps, n, fmt, w):
     """What `word` prints, rendered here from the materialized word."""
     if fmt == "ints":
@@ -353,29 +395,29 @@ def test_word_oracle_size_guard(capsys, monkeypatch):
 
 def _read_head_then_close(argv, size):
     """Run `fwwords argv`, read `size` bytes of its stdout, close the pipe and
-    reap the child: (head, exit code, stderr, resource usage, peak RSS in KiB
+    reap the child: (head, exit code, stderr, the child's own peak RSS in KiB
     before the pipe closed)."""
     proc = subprocess.Popen([sys.executable, "-m", "fwwords", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = proc.stdout.read(size)
-    # The writer waits on the full pipe. Its ru_maxrss cannot go below this
-    # process's peak, which a vfork+exec child inherits; VmHWM is its own.
+    # The writer waits on the full pipe. Its VmHWM is its own peak, where its
+    # ru_maxrss would include this process's, which a vfork+exec child inherits.
     with open(f"/proc/{proc.pid}/status") as status_file:
         peak_kb = next(int(line.split()[1]) for line in status_file if line.startswith("VmHWM:"))
     proc.stdout.close()
     deadline = time.monotonic() + 60
     while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        pid, status = os.waitpid(proc.pid, os.WNOHANG)
         if pid or time.monotonic() > deadline:
             break
         time.sleep(0.01)
     if not pid:
         proc.kill()
-        _, status, usage = os.wait4(proc.pid, 0)
+        _, status = os.waitpid(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     err = proc.stderr.read()
     proc.stderr.close()
     assert pid, "the writer did not stop after its reader closed the pipe"
-    return head, proc.returncode, err, usage, peak_kb
+    return head, proc.returncode, err, peak_kb
 
 
 def test_word_closed_pipe_streams_in_bounded_memory():
@@ -383,12 +425,12 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     # takes 1 MiB and closes the pipe; the writer stops quietly with exit 0.
     ps, n, size = PeriodSet([5, 7]), 10**11, 1 << 20
     argv = ["word", "--periods", "5,7", "--length", str(n), "--format", "dense"]
-    head, code, err, usage, _ = _read_head_then_close(argv, size)
+    head, code, err, peak_kb = _read_head_then_close(argv, size)
     assert len(head) == size
     for i in (0, 1, 7, 12345, size - 1):
         assert head[i : i + 1].decode() == cli.DENSE_DIGITS[letter_at(ps, n, i)]
     assert (code, err) == (0, b"")
-    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+    assert peak_kb < 40 * 1024
 
 
 def test_word_oracle_streams_in_bounded_memory():
@@ -396,7 +438,7 @@ def test_word_oracle_streams_in_bounded_memory():
     # the whole 10**7-letter word would take about 80 MB as a tuple.
     ps, n = PeriodSet([412000, 600001]), 10**7
     argv = ["word", "--engine", "oracle", "--periods", "412000,600001", "--length", str(n), "--format", "ints"]
-    head, code, err, _, peak_kb = _read_head_then_close(argv, 1 << 20)
+    head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
     letters = head.decode().split(" ")[:-1]  # the last letter may be cut
     assert len(letters) > 100_000
     assert all(letters[i] == str(letter_at(ps, n, i)) for i in (*range(0, len(letters), 1009), len(letters) - 1))
@@ -409,12 +451,12 @@ def test_chain_closed_pipe_streams_in_bounded_memory():
     # holding them all as period sets takes over 400 MB.
     m, big, n = 1000, 1000000007, 10**12
     argv = ["chain", "--periods", f"{m},{big}", "--length", str(n)]
-    head, code, err, usage, _ = _read_head_then_close(argv, 1 << 20)
+    head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
     lines = head.decode().split("\n")[:-1]  # the last line may be cut
     assert len(lines) > 10_000
     assert lines == [f"Q{k}={{{m},{big - k * m}}} n{k}={n - k * m}" for k in range(len(lines))]
     assert (code, err) == (0, b"")
-    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+    assert peak_kb < 40 * 1024
 
 
 def test_word_without_reader_exits_0_quietly():
