@@ -18,6 +18,7 @@ deliberately literal twin (`letter_at_unbatched`, `extremal_length_unbatched`,
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -51,21 +52,27 @@ def reduce_periods(periods: PeriodSet) -> PeriodSet:
     return PeriodSet(_reduce(periods.periods))
 
 
-def _window(periods: tuple[int, ...]) -> int:
+def _window(m: int, rest: list[int]) -> int:
     # How many reduction steps one arithmetic jump may cover: the minimum must
     # stay the minimum and no other element may collide with it before the
     # jump's final set, which caps the count at (second - m) // m. Always >= 1.
-    if len(periods) == 1:
-        return 1
-    m = periods[0]
-    return max(1, (periods[1] - m) // m)
+    return (rest[0] - m) // m or 1 if rest else 1
 
 
-def _jump(periods: tuple[int, ...], k: int) -> tuple[int, ...]:
-    # k reduction steps at once; literal-equivalent for any k <= _window(periods).
-    m = periods[0]
-    shift = k * m
-    return tuple(sorted({p - shift for p in periods[1:]} | {m}))
+def _jump(m: int, rest: list[int], shift: int) -> tuple[int, list[int]]:
+    # k reduction steps at once, for shift = k * m and k <= _window(m, rest): the
+    # other periods (ascending, distinct) drop by shift and stay so. If the
+    # smallest of them falls to m it merges; if below, it becomes the minimum
+    # and m moves into the list, unless a period already equals it.
+    rest = [p - shift for p in rest]
+    if rest and rest[0] <= m:
+        low = rest.pop(0)
+        if low < m:
+            i = bisect_left(rest, m)
+            if i == len(rest) or rest[i] != m:
+                rest.insert(i, m)
+        m = low
+    return m, rest
 
 
 def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[PeriodSet, int]:
@@ -77,10 +84,12 @@ def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[Perio
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    k = _window(periods.periods)
+    m, *rest = periods.periods
+    k = _window(m, rest)
     if budget is not None:
         k = min(k, budget)
-    return PeriodSet(_jump(periods.periods, k)), k
+    m, rest = _jump(m, rest, k * m)
+    return PeriodSet((m, *rest)), k
 
 
 def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
@@ -104,27 +113,28 @@ def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
         steps.append((cur, length))
 
 
-def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[int, list[int], int, int]]:
     # The arithmetic jumps of the descent for length n, outermost first: every
-    # (set, length) it visits, with the k literal steps the jump from it covers.
-    # The last one, where length <= min or min == gcd ends the descent, has k == 0.
+    # set it visits, as its minimum m and the ascending list of the others,
+    # with the length and the k literal steps the jump from it covers. The
+    # last one, where length <= m or m == gcd ends the descent, has k == 0.
+    # A yielded list is never changed afterwards.
     if n < 0:
         raise OutOfRangeError(f"length must be >= 0, got {n}")
     gcd = periods.gcd
-    cur = periods.periods
+    m, *rest = periods.periods
     length = n
     while True:
-        m = cur[0]
         if length <= m or m == gcd:
-            yield cur, length, 0
+            yield m, rest, length, 0
             return
-        k = _window(cur)
+        k = _window(m, rest)
         shift = k * m
         if shift >= length:
             k = (length - 1) // m
             shift = k * m
-        yield cur, length, k
-        cur = _jump(cur, k)
+        yield m, rest, length, k
+        m, rest = _jump(m, rest, shift)
         length -= shift
 
 
@@ -133,9 +143,9 @@ def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], i
     the jump descent makes them: (sorted periods, length, k, None) stands for k
     steps, step s being m and the other periods minus s*m, in order (see
     _window), at length - s*m. The last run is the last step, with its termination."""
-    for cur, length, k in _descent(periods, n):
-        end = None if k else Termination.LENGTH_AT_MOST_MIN if length <= cur[0] else Termination.GCD_EQUALS_MIN
-        yield cur, length, k or 1, end
+    for m, rest, length, k in _descent(periods, n):
+        end = None if k else Termination.LENGTH_AT_MOST_MIN if length <= m else Termination.GCD_EQUALS_MIN
+        yield (m, *rest), length, k or 1, end
 
 
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
@@ -151,11 +161,10 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
         raise OutOfRangeError(
             f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
         )
-    *jumps, (cur, length, _) = _descent(periods, n)
+    *jumps, (m, _, length, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
-    gen: Word = tuple(range(min(length, cur[0])))
-    for top_set, top, k in reversed(jumps):
-        m = top_set[0]
+    gen: Word = tuple(range(min(length, m)))
+    for m, _, top, k in reversed(jumps):
         bottom = top - k * m
         if m <= bottom:
             gen = extend_periodically(gen, m)
@@ -186,8 +195,7 @@ def letter_at(periods: PeriodSet, n: int, i: int) -> int:
     """
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
-    for cur, length, k in _descent(periods, n):
-        m = cur[0]
+    for m, _, length, k in _descent(periods, n):
         i %= m
         if i >= length - k * m:
             return i
@@ -226,10 +234,9 @@ def extremal_length(periods: PeriodSet) -> int | None:
     # k steps at minimum m lowers the length by k*m and the set's sum by at
     # least k*m, so the length stays above the set's sum, which exceeds both m
     # and _window * m while min > gcd. So the descent ends at min == gcd.
-    *jumps, (cur, _, _) = _descent(periods, 2 * sum(periods.periods))
-    value = cur[0] - 1
-    for top_set, _, k in reversed(jumps):
-        m = top_set[0]
+    *jumps, (m, _, _, _) = _descent(periods, 2 * sum(periods.periods))
+    value = m - 1
+    for m, _, _, k in reversed(jumps):
         # k levels at the same minimum telescope: m + max(m-1, .) applied k
         # times equals k*m + max(m-1, .) because intermediate values exceed m-1
         value = k * m + max(m - 1, value)

@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import combinations
 
 import pytest
@@ -16,12 +18,19 @@ from fwwords import (
     pref,
 )
 from fwwords.reduction import (
+    _descent,
+    _reduce,
     batched_reduce,
     extremal_length_unbatched,
     letter_at_unbatched,
     reduce_periods,
     reduction_chain,
 )
+
+# consecutive Fibonacci numbers from 1, 2 up to about 10**300
+FIB = [1, 2]
+while len(FIB) < 1437:
+    FIB.append(FIB[-1] + FIB[-2])
 
 
 def small_period_sets(max_period, max_size=3):
@@ -180,11 +189,8 @@ def test_extremal_batched_equals_unbatched():
 def test_extremal_length_deep_fibonacci_descents():
     # consecutive Fibonacci numbers near 10**250 to 10**300: one jump per
     # level, 1200 to 1436 jumps, all under the 2*sum(P) descent length
-    fib = [1, 2]
-    while len(fib) < 1437:
-        fib.append(fib[-1] + fib[-2])
     for k in (1200, 1318, 1435):
-        p, q = fib[k], fib[k + 1]
+        p, q = FIB[k], FIB[k + 1]
         assert extremal_length(PeriodSet([p, q])) == p + q - 2
 
 
@@ -212,3 +218,56 @@ def test_batched_reduce_equals_literal_iteration():
 def test_batched_reduce_rejects_bad_budget():
     with pytest.raises(ValueError):
         batched_reduce(PeriodSet([5, 7]), 0)
+
+
+def test_descent_jumps_equal_literal_steps():
+    # every jump (m, rest, length, k) is k literal steps from (m, *rest), at
+    # length - k*m, whichever way the minimum moves; the grid never gets here
+    rng = random.Random(10)
+    cases = [rng.sample(range(1, 501), rng.randrange(2, 61)) for _ in range(150)]
+    cases += [rng.sample(range(10**6, 10**7 + 1), 1000) for _ in range(3)]
+    kinds = set()
+    for values in cases:
+        ps = PeriodSet(values)
+        n = rng.randrange(1, 2 * sum(values)) if len(values) < 1000 else 2 * sum(values)
+        jumps = list(_descent(ps, n))
+        for (m, rest, length, k), (m2, rest2, length2, _) in zip(jumps, jumps[1:]):
+            literal = (m, *rest)
+            for _ in range(k):
+                literal = _reduce(literal)
+            assert (m2, *rest2) == literal and length2 == length - k * m, (values, n, m, length)
+            shifted = [p - k * m for p in rest]
+            if shifted[0] > m:
+                kinds.add("minimum kept")
+            elif shifted[0] == m:
+                kinds.add("collision with the minimum")
+            elif m in shifted:
+                kinds.add("new minimum, old one already present")
+            elif 0 < rest2.index(m) < len(rest2) - 1:
+                kinds.add("new minimum, old one inserted mid-list")
+        m, _, length, k = jumps[-1]
+        assert k == 0 and (length <= m or m == ps.gcd)
+    assert len(kinds) == 4, kinds
+
+
+def _jump_count(p, q):
+    return sum(1 for *_, k in _descent(PeriodSet((p, q)), 2 * (p + q)) if k)
+
+
+def test_two_period_descent_depth_within_lame_bound():
+    # a Euclid division step takes at most two jumps, so by Lame's theorem
+    # two periods p < q descend in at most 2*ceil(log_phi q) + 2 jumps
+    log_phi = math.log((1 + math.sqrt(5)) / 2)
+
+    def bound(q):
+        return 2 * math.ceil(math.log(q) / log_phi) + 2
+
+    for k in (1200, 1318, 1435):
+        p, q = FIB[k], FIB[k + 1]
+        # quotients of 1 take one jump each: the depth grows as log_phi q itself
+        assert math.log(q) / log_phi - 3 <= _jump_count(p, q) <= bound(q)
+    rng = random.Random(11)
+    for _ in range(2000):
+        q = rng.randrange(2, 10 ** rng.randrange(1, 40))
+        p = rng.randrange(1, q)
+        assert _jump_count(p, q) <= bound(q), (p, q)
