@@ -112,7 +112,15 @@ def _cmd_at(args: argparse.Namespace) -> int:
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal_length(_parse_periods(args.periods))
-    print("none" if value is None else value)
+    # the value can pass Python's int-to-str limit that the periods met: lift it for this print (int() = 0 before 3.11)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        print("none" if value is None else value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

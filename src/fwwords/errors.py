@@ -18,4 +18,5 @@ class EmptyGeneratorError(ValueError):
 
 
 class TooLargeForExhaustiveError(ValueError):
-    """An exhaustive partition search was asked to exceed its bound."""
+    """min(min P, n) exceeds EXHAUSTIVE_BOUND in the exhaustive maximality search,
+    which tries Bell(min(min P, n)) prefixes and extends each in O(n * |P|)."""

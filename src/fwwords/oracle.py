@@ -12,14 +12,13 @@ checked against.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
-from .words import ORACLE_MAX_LENGTH, Word, extend_periodically, has_period  # noqa: F401, the limit is re-exported
+from .words import Word, extend_periodically
 
-EXHAUSTIVE_BOUND = 9
+EXHAUSTIVE_BOUND = 9  # largest min(min P, n) that max_alphabet_exhaustive accepts: Bell(9) = 21,147 prefixes
 
 
 class EquivalencePartition(NamedTuple):
@@ -94,46 +93,40 @@ def class_count(periods: PeriodSet, n: int) -> int:
     return len(set(residue_labels(periods, n)))
 
 
-@lru_cache(maxsize=16)
-def _partition_words(n: int) -> tuple[Word, ...]:
-    # Every set partition of {0..n-1}, written as the word that labels each
-    # position with the smallest member of its block. Bell(n) entries.
-    words: list[Word] = []
-    current = [0] * n
-
-    def fill(i: int, labels: tuple[int, ...]) -> None:
-        if i == n:
-            words.append(tuple(current))
-            return
-        for label in labels:
-            current[i] = label
-            fill(i + 1, labels)
-        current[i] = i
-        fill(i + 1, labels + (i,))
-
-    fill(0, ())
-    return tuple(words)
-
-
-def max_alphabet_exhaustive(
-    periods: PeriodSet, n: int, bound: int = EXHAUSTIVE_BOUND
-) -> tuple[int, tuple[Word, ...]]:
+def max_alphabet_exhaustive(periods: PeriodSet, n: int) -> tuple[int, tuple[Word, ...]]:
     """Brute-force maximum alphabet size over ALL length-n words with the periods.
 
-    Enumerates every set partition of the n positions, keeps those whose
-    min-labeled word has every period, and returns the best class count with
-    every maximizer (canonical labeling). Independent of the residue
-    search, so it can vouch for fw_oracle's maximality and uniqueness claims.
+    Fills positions left to right from the definition of a period. Each of the
+    first b = min(min(periods), n) takes every open block, then a new one:
+    Bell(b) prefixes. Past them w[i] = w[i-p] is forced for every period
+    p <= i, and a branch that breaks it is cut, as no later position can
+    repair it; each prefix extends in O(n * len(periods)). Returns the best
+    class count with every maximizer (canonical labeling). Independent of the
+    residue search, so it can vouch for fw_oracle's maximality and uniqueness.
     """
-    if n > bound:
-        raise TooLargeForExhaustiveError(f"n={n} exceeds exhaustive bound {bound}")
+    m = periods.min_period
+    branching = min(m, n)
+    if branching > EXHAUSTIVE_BOUND:
+        raise TooLargeForExhaustiveError(f"min(min P, n) = {branching} exceeds the bound {EXHAUSTIVE_BOUND}")
     best = -1
     witnesses: list[Word] = []
-    for w in _partition_words(n):
-        if all(has_period(w, p) for p in periods):
-            count = len(set(w))
-            if count > best:
-                best, witnesses = count, [w]
-            elif count == best:
-                witnesses.append(w)
+    word = [0] * n
+
+    def fill(i: int, labels: tuple[int, ...]) -> None:
+        nonlocal best, witnesses
+        if i < branching:
+            for label in (*labels, i):  # each open block, then a new one
+                word[i] = label
+                fill(i + 1, labels if label < i else (*labels, i))
+            return
+        for j in range(branching, n):
+            word[j] = word[j - m]
+            if any(word[j - p] != word[j] for p in periods if p <= j):
+                return
+        if len(labels) > best:
+            best, witnesses = len(labels), []
+        if len(labels) == best:
+            witnesses.append(tuple(word))
+
+    fill(0, ())
     return best, tuple(witnesses)

@@ -38,9 +38,6 @@ class PeriodSet:
     def __len__(self) -> int:
         return len(self.periods)
 
-    def __contains__(self, p: object) -> bool:
-        return p in self.periods
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PeriodSet):
             return self.periods == other.periods

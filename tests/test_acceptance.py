@@ -133,7 +133,7 @@ def test_c7_exhaustive_maximality_uniqueness():
     for size in range(1, 9):
         for combo in combinations(range(1, 9), size):
             ps = PeriodSet(combo)
-            for n in range(10):
+            for n in range(17):
                 best, witnesses = max_alphabet_exhaustive(ps, n)
                 assert best == class_count(ps, n), f"periods={ps} n={n}"
                 assert witnesses == (fw_oracle(ps, n),), f"periods={ps} n={n}"

@@ -15,7 +15,7 @@ import pytest
 from fwwords import cli, selftest
 from fwwords.cli import main, render_chain
 from fwwords import PeriodSet, Termination, fw_fast, fw_oracle, is_trivial, letter_at
-from fwwords.oracle import ORACLE_MAX_LENGTH
+from fwwords.words import ORACLE_MAX_LENGTH
 from fwwords.reduction import reduction_chain
 from fwwords.words import alphabet
 from fwwords.selftest import MAX_GRID_WORK, grid_period_sets
@@ -137,6 +137,19 @@ def test_extremal(capsys):
     assert run_cli(capsys, "extremal", "--periods", "5,7")[:2] == (0, "10\n")
     assert run_cli(capsys, "extremal", "--periods", "2,4")[:2] == (0, "none\n")
     assert run_cli(capsys, "extremal", "--periods", "2,3")[:2] == (0, "3\n")
+
+
+def test_extremal_prints_answer_longer_than_int_str_limit(capsys):
+    # 2p - 1 for p = 9*10**4299 has 4301 digits, one past Python's default limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    p = "9" + "0" * 4299
+    code, out, err = run_cli(capsys, "extremal", "--periods", f"{p},{p[:-1]}1")
+    assert (code, out, err) == (0, "17" + "9" * 4299 + "\n", "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit:
+        # a period past the limit is still refused at parse time
+        code, out, err = run_cli(capsys, "extremal", "--periods", f"9{'0' * limit},7")
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_chain_worked_example(capsys):

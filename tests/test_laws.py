@@ -2,17 +2,30 @@
 random sets of 4-6 periods, and laws that follow from the definition checked
 through letter_at on periods far beyond the oracle's reach.
 
+Prefix (C3) and fresh letters (C4): with m = min(P), the word for the reduced
+set at length n is the prefix of the word for P at length n + m; and for
+m < n < 2m no period reaches position i with n - m <= i < m, so it carries
+its own letter i.
+
 Closure: a positive integer combination of periods is itself a period, and so
 is any p >= n, so adding one leaves the partition, and the canonical word,
 unchanged. Scaling: the classes of dP lie inside residues mod d, and residue
 r carries the word for P at length ceil((n - r) / d), its positions being
 r + d*j; so with r = i mod d, letter_at(dP, n, i) = d*letter_at(P,
 ceil((n - r) / d), (i - r) // d) + r.
+
+Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
+the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
+1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
+N = p + q and a = p^-1 mod N. Floor arithmetic only, no reduction: an oracle
+for two periods at any scale.
 """
 
+import math
 import random
 
-from fwwords import PeriodSet, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
+from fwwords import PeriodSet, canonicalize, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
+from fwwords.reduction import reduce_periods
 
 
 def random_small_set(rng):
@@ -39,8 +52,8 @@ def test_seeded_differential_sweep():
             assert tuple(letter_at(ps, n, i) for i in range(n)) == word, (ps, n)
 
 
-def random_large_set(rng):
-    return PeriodSet(rng.randrange(10**6, 10**12) for _ in range(rng.randrange(1, 51)))
+def random_large_set(rng, most=50):
+    return PeriodSet(rng.randrange(10**6, 10**12) for _ in range(rng.randrange(1, most + 1)))
 
 
 def random_query(rng, ps, d=1):
@@ -77,3 +90,61 @@ def test_closure_law_at_scale():
             assert letter_at(PeriodSet((*ps, extra)), n, i) == letter, (ps, extra, n, i)
         nontrivial += letter != i % ps.gcd
     assert nontrivial > 300
+
+
+def test_prefix_law_at_scale():
+    rng = random.Random(23)
+    nontrivial = 0
+    for _ in range(1500):
+        ps = random_large_set(rng, 5)
+        n, i = random_query(rng, ps)
+        letter = letter_at(reduce_periods(ps), n, i)
+        assert letter_at(ps, n + ps.min_period, i) == letter, (ps, n, i)
+        nontrivial += letter != i % ps.gcd
+    assert nontrivial > 300
+
+
+def test_fresh_letters_at_scale():
+    rng = random.Random(24)
+    for _ in range(1500):
+        ps = random_large_set(rng, 5)
+        m = ps.min_period
+        n = rng.randrange(m + 1, 2 * m)
+        i = rng.randrange(n - m, m)
+        assert letter_at(ps, n, i) == i, (ps, n, i)
+
+
+def christoffel(p, q):
+    """Letter i of the binary central word with coprime periods p < q (module docstring)."""
+    modulus = p + q
+    a = pow(p, -1, modulus)
+    return lambda i: (i + 2) * a // modulus - (i + 1) * a // modulus
+
+
+def test_christoffel_word_is_the_two_period_oracle():
+    pairs = 0
+    for q in range(2, 120):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                c = christoffel(p, q)
+                n = p + q - 2
+                assert canonicalize(map(c, range(n))) == fw_oracle(PeriodSet([p, q]), n), (p, q)
+                pairs += 1
+    assert pairs == 4353
+
+
+def test_christoffel_word_at_scale():
+    rng = random.Random(25)
+
+    def period():  # 12 to 50 digits
+        digits = rng.randrange(12, 51)
+        return rng.randrange(10 ** (digits - 1), 10**digits)
+
+    for _ in range(300):
+        p = q = 1
+        while p == q or math.gcd(p, q) != 1:
+            p, q = sorted((period(), period()))
+        ps, c, n = PeriodSet([p, q]), christoffel(p, q), p + q - 2
+        assert extremal_length(ps) == n, (p, q)
+        for i in (rng.randrange(n) for _ in range(5)):
+            assert (letter_at(ps, n, i) == 0) == (c(i) == c(0)), (p, q, i)

@@ -154,8 +154,10 @@ def test_max_alphabet_empty_length():
 
 
 def test_max_alphabet_bound():
+    # only the min(min P, n) positions before any period reaches back branch
     with pytest.raises(TooLargeForExhaustiveError):
-        max_alphabet_exhaustive(PeriodSet([2]), 10)
-    count, witnesses = max_alphabet_exhaustive(PeriodSet([9, 10]), 10, bound=10)
+        max_alphabet_exhaustive(PeriodSet([10]), 10)
+    assert max_alphabet_exhaustive(PeriodSet([2]), 10) == (2, (fw_oracle(PeriodSet([2]), 10),))
+    count, witnesses = max_alphabet_exhaustive(PeriodSet([9, 10]), 10)
     assert count == class_count(PeriodSet([9, 10]), 10)
     assert witnesses == (fw_oracle(PeriodSet([9, 10]), 10),)
