@@ -10,7 +10,10 @@ reduction chain instead of by n.
 
 Consecutive steps that share the same minimum are collapsed into single
 arithmetic jumps, which is what makes letter queries and extremal lengths
-for periods around 10**12 effectively instant. Each jumped routine keeps a
+for periods around 10**12 effectively instant. The descent holds the minimum
+and the next period as plain ints and the others in an ascending list
+raised by a running offset, so a jump that keeps the minimum does O(1) work
+and one that changes it does one list shift. Each jumped routine keeps a
 deliberately literal twin (`letter_at_unbatched`, `extremal_length_unbatched`,
 `reduction_chain`, iterated `reduce_periods`) that serves as its test oracle.
 """
@@ -52,29 +55,6 @@ def reduce_periods(periods: PeriodSet) -> PeriodSet:
     return PeriodSet(_reduce(periods.periods))
 
 
-def _window(m: int, rest: list[int]) -> int:
-    # How many reduction steps one arithmetic jump may cover: the minimum must
-    # stay the minimum and no other element may collide with it before the
-    # jump's final set, which caps the count at (second - m) // m. Always >= 1.
-    return (rest[0] - m) // m or 1 if rest else 1
-
-
-def _jump(m: int, rest: list[int], shift: int) -> tuple[int, list[int]]:
-    # k reduction steps at once, for shift = k * m and k <= _window(m, rest): the
-    # other periods (ascending, distinct) drop by shift and stay so. If the
-    # smallest of them falls to m it merges; if below, it becomes the minimum
-    # and m moves into the list, unless a period already equals it.
-    rest = [p - shift for p in rest]
-    if rest and rest[0] <= m:
-        low = rest.pop(0)
-        if low < m:
-            i = bisect_left(rest, m)
-            if i == len(rest) or rest[i] != m:
-                rest.insert(i, m)
-        m = low
-    return m, rest
-
-
 def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[PeriodSet, int]:
     """Apply up to `budget` reduction steps in one arithmetic pass.
 
@@ -85,11 +65,13 @@ def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[Perio
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m, *rest = periods.periods
-    k = _window(m, rest)
+    # The minimum must stay the minimum and no other period may meet it before
+    # the jump's final set, which caps the steps at (second - m) // m; always >= 1.
+    k = (rest[0] - m) // m or 1 if rest else 1
     if budget is not None:
         k = min(k, budget)
-    m, rest = _jump(m, rest, k * m)
-    return PeriodSet((m, *rest)), k
+    # every other period drops by k*m; one that meets m merges, one below it is the new minimum
+    return PeriodSet((m, *[p - k * m for p in rest])), k
 
 
 def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
@@ -113,39 +95,61 @@ def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
         steps.append((cur, length))
 
 
-def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[int, list[int], int, int]]:
+def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[int, int, int, int | None, list[int], int]]:
     # The arithmetic jumps of the descent for length n, outermost first: every
-    # set it visits, as its minimum m and the ascending list of the others,
-    # with the length and the k literal steps the jump from it covers. The
-    # last one, where length <= m or m == gcd ends the descent, has k == 0.
-    # A yielded list is never changed afterwards.
+    # set it visits, with its length and the k literal steps the jump from it
+    # covers, as (m, length, k, second, tail, off). m is the minimum, second
+    # the next period (None only for a one-period input), and the rest are
+    # t - off for t in the ascending list tail. The last one, where length <= m
+    # or m == gcd ends the descent, has k == 0. tail is one list that later
+    # jumps change in place: read it before advancing. The jump's k is capped
+    # so the minimum stays the minimum and no other period meets it before
+    # the jump's final set: k <= (second - m) // m, and k*m < length.
     if n < 0:
         raise OutOfRangeError(f"length must be >= 0, got {n}")
     gcd = periods.gcd
-    m, *rest = periods.periods
-    length = n
+    m, *tail = periods.periods
+    second = tail.pop(0) if tail else None
+    length, off = n, 0
     while True:
         if length <= m or m == gcd:
-            yield m, rest, length, 0
+            yield m, length, 0, second, tail, off
             return
-        k = _window(m, rest)
+        k = (second - m) // m or 1
         shift = k * m
         if shift >= length:
             k = (length - 1) // m
             shift = k * m
-        yield m, rest, length, k
-        m, rest = _jump(m, rest, shift)
+        yield m, length, k, second, tail, off
+        # every period but m drops by shift: the tail's by raising off
         length -= shift
+        second -= shift
+        off += shift
+        if second < m:
+            # second is the new minimum, and m the new second unless the tail's
+            # head lies below it (m then goes into the tail) or meets it
+            m, second = second, m
+            if tail and tail[0] - off <= second:
+                low = tail.pop(0) - off
+                if low < second:
+                    key = second + off
+                    i = bisect_left(tail, key)
+                    if i == len(tail) or tail[i] != key:
+                        tail.insert(i, key)
+                    second = low
+        elif second == m:
+            # second merges with m; a set of one period has m == gcd, so the tail is not empty
+            second = tail.pop(0) - off
 
 
 def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int, int, Termination | None]]:
     """The steps of reduction_chain(periods, n) in runs sharing a minimum m, as
     the jump descent makes them: (sorted periods, length, k, None) stands for k
     steps, step s being m and the other periods minus s*m, in order (see
-    _window), at length - s*m. The last run is the last step, with its termination."""
-    for m, rest, length, k in _descent(periods, n):
+    _descent), at length - s*m. The last run is the last step, with its termination."""
+    for m, length, k, second, tail, off in _descent(periods, n):
         end = None if k else Termination.LENGTH_AT_MOST_MIN if length <= m else Termination.GCD_EQUALS_MIN
-        yield (m, *rest), length, k or 1, end
+        yield (m,) if second is None else (m, second, *[t - off for t in tail]), length, k or 1, end
 
 
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
@@ -161,10 +165,10 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
         raise OutOfRangeError(
             f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
         )
-    *jumps, (m, _, length, _) = _descent(periods, n)
+    *jumps, (m, length, _, _, _, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
     gen: Word = tuple(range(min(length, m)))
-    for m, _, top, k in reversed(jumps):
+    for m, top, k, _, _, _ in reversed(jumps):
         bottom = top - k * m
         if m <= bottom:
             gen = extend_periodically(gen, m)
@@ -195,7 +199,7 @@ def letter_at(periods: PeriodSet, n: int, i: int) -> int:
     """
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
-    for m, _, length, k in _descent(periods, n):
+    for m, length, k, _, _, _ in _descent(periods, n):
         i %= m
         if i >= length - k * m:
             return i
@@ -223,24 +227,29 @@ def extremal_length(periods: PeriodSet) -> int | None:
 
     None when gcd == min: every word with the periods then has their gcd as
     a period too, at every length. Otherwise the value follows the
-    recurrence value(P) = min(P) + max(value(reduced P), min(P) - 1), folded
-    over arithmetic jumps, seeded with min - 1 once the reduction reaches a
-    set whose min equals its gcd (a formal seed, validated against oracle
-    scans in the test suite, not itself an achieved length).
+    recurrence value(P) = min(P) + max(value(reduced P), min(P) - 1), seeded
+    with min - 1 once the reduction reaches a set whose min equals its gcd (a
+    formal seed, validated against oracle scans in the test suite, not itself
+    an achieved length). Unrolled over the levels 0..L of the chain, with
+    minima m_j, that is the max over j of T_j + m_j - 1, where T_j is the
+    length the steps from levels 0..j remove: m_0 + ... + m_j for j < L, and
+    m_0 + ... + m_{L-1} at the last level. It is folded forward, one jump of
+    k levels at a time.
     """
     if periods.gcd == periods.min_period:
         return None
     # Length 2*sum(P) never caps a jump or stops the descent early: a jump of
     # k steps at minimum m lowers the length by k*m and the set's sum by at
     # least k*m, so the length stays above the set's sum, which exceeds both m
-    # and _window * m while min > gcd. So the descent ends at min == gcd.
-    *jumps, (m, _, _, _) = _descent(periods, 2 * sum(periods.periods))
-    value = m - 1
-    for m, _, _, k in reversed(jumps):
-        # k levels at the same minimum telescope: m + max(m-1, .) applied k
-        # times equals k*m + max(m-1, .) because intermediate values exceed m-1
-        value = k * m + max(m - 1, value)
-    return value
+    # and the uncapped k*m while min > gcd. So the descent ends at min == gcd.
+    total = best = 0
+    for m, _, k, _, _, _ in _descent(periods, 2 * sum(periods.periods)):
+        # of the k levels at minimum m the last gives the largest T_j + m; the
+        # last jump (k == 0) gives the seed's term
+        total += k * m
+        if total + m > best:
+            best = total + m
+    return best - 1
 
 
 def extremal_length_unbatched(periods: PeriodSet) -> int | None:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -190,6 +191,22 @@ def test_chain_streams_the_literal_chain(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "chain", "--periods", "5,7", "--length", "-1")
     assert (code, out) == (2, "")
     assert "length must be >= 0" in err
+
+
+def test_chain_streams_the_literal_chain_on_larger_sets(capsys, monkeypatch):
+    # 4-8 periods, so that jumps carry the periods past the second one in the
+    # descent's offset list: minima change, merge and go back into the list
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    rng = random.Random(31)
+    terminations = set()
+    for _ in range(60):
+        values = rng.sample(range(1, 60), rng.randrange(4, 9))
+        periods = ",".join(map(str, values))
+        for n in (rng.randrange(400), 2 * sum(values)):
+            chain = reduction_chain(PeriodSet(values), n)
+            terminations.add(chain.termination)
+            assert run_cli(capsys, "chain", "--periods", periods, "--length", str(n)) == (0, render_chain(chain) + "\n", "")
+    assert terminations == set(Termination)
 
 
 def test_selftest_small_grid(capsys):

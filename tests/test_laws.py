@@ -14,6 +14,10 @@ r carries the word for P at length ceil((n - r) / d), its positions being
 r + d*j; so with r = i mod d, letter_at(dP, n, i) = d*letter_at(P,
 ceil((n - r) / d), (i - r) // d) + r.
 
+Extremal boundary: the word at extremal_length(P) is non-trivial and the
+one a letter longer is trivial, checked on the generating prefix at
+min(P) up to about 10**6.
+
 Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
 the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
 1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
@@ -24,7 +28,16 @@ for two periods at any scale.
 import math
 import random
 
-from fwwords import PeriodSet, canonicalize, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
+from fwwords import (
+    PeriodSet,
+    canonicalize,
+    extremal_length,
+    fw_fast,
+    fw_oracle,
+    generating_prefix,
+    is_trivial,
+    letter_at,
+)
 from fwwords.reduction import reduce_periods
 
 
@@ -112,6 +125,23 @@ def test_fresh_letters_at_scale():
         n = rng.randrange(m + 1, 2 * m)
         i = rng.randrange(n - m, m)
         assert letter_at(ps, n, i) == i, (ps, n, i)
+
+
+def test_extremal_boundary_at_scale():
+    # the word at extremal_length(P) is non-trivial and the next one is trivial,
+    # at min(P) up to 10**6; a word of length n >= m = min(P) repeats its
+    # generating prefix with period m, and gcd(P) divides m, so it has period
+    # gcd(P) exactly when the prefix does
+    rng = random.Random(26)
+    for _ in range(20):
+        d = rng.choice((1, 1, 2, 3))
+        ps = PeriodSet([1])
+        while ps.gcd == ps.min_period:
+            ps = PeriodSet(d * p for p in rng.sample(range(10**5 // d, 10**6 // d), rng.randrange(2, 6)))
+        extremal = extremal_length(ps)
+        assert extremal >= ps.min_period, ps
+        assert not is_trivial(generating_prefix(ps, extremal), ps), ps
+        assert is_trivial(generating_prefix(ps, extremal + 1), ps), ps
 
 
 def christoffel(p, q):

@@ -220,9 +220,19 @@ def test_batched_reduce_rejects_bad_budget():
         batched_reduce(PeriodSet([5, 7]), 0)
 
 
+def _levels(ps, n):
+    # each jump of the descent as (its sorted set, length, k), the set rebuilt
+    # as it is yielded: later jumps change the tail list in place
+    return [
+        ((m,) if second is None else (m, second, *[t - off for t in tail]), length, k)
+        for m, length, k, second, tail, off in _descent(ps, n)
+    ]
+
+
 def test_descent_jumps_equal_literal_steps():
-    # every jump (m, rest, length, k) is k literal steps from (m, *rest), at
-    # length - k*m, whichever way the minimum moves; the grid never gets here
+    # every jump (set, length, k) is k literal steps from the set, and equals
+    # batched_reduce(set, k), at length - k*m, whichever way the minimum moves;
+    # the grid never gets here
     rng = random.Random(10)
     cases = [rng.sample(range(1, 501), rng.randrange(2, 61)) for _ in range(150)]
     cases += [rng.sample(range(10**6, 10**7 + 1), 1000) for _ in range(3)]
@@ -230,28 +240,31 @@ def test_descent_jumps_equal_literal_steps():
     for values in cases:
         ps = PeriodSet(values)
         n = rng.randrange(1, 2 * sum(values)) if len(values) < 1000 else 2 * sum(values)
-        jumps = list(_descent(ps, n))
-        for (m, rest, length, k), (m2, rest2, length2, _) in zip(jumps, jumps[1:]):
-            literal = (m, *rest)
+        levels = _levels(ps, n)
+        assert levels[0][:2] == (ps.periods, n)
+        for (cur, length, k), (nxt, length2, _) in zip(levels, levels[1:]):
+            m = cur[0]
+            literal = cur
             for _ in range(k):
                 literal = _reduce(literal)
-            assert (m2, *rest2) == literal and length2 == length - k * m, (values, n, m, length)
-            shifted = [p - k * m for p in rest]
+            assert nxt == literal and length2 == length - k * m, (values, n, m, length)
+            assert batched_reduce(PeriodSet(cur), k) == (PeriodSet(nxt), k), (values, n, m, length)
+            shifted = [p - k * m for p in cur[1:]]
             if shifted[0] > m:
                 kinds.add("minimum kept")
             elif shifted[0] == m:
                 kinds.add("collision with the minimum")
             elif m in shifted:
                 kinds.add("new minimum, old one already present")
-            elif 0 < rest2.index(m) < len(rest2) - 1:
+            elif 1 < nxt.index(m) < len(nxt) - 1:
                 kinds.add("new minimum, old one inserted mid-list")
-        m, _, length, k = jumps[-1]
+        (m, *_), length, k = levels[-1]
         assert k == 0 and (length <= m or m == ps.gcd)
     assert len(kinds) == 4, kinds
 
 
 def _jump_count(p, q):
-    return sum(1 for *_, k in _descent(PeriodSet((p, q)), 2 * (p + q)) if k)
+    return sum(1 for _, _, k, _, _, _ in _descent(PeriodSet((p, q)), 2 * (p + q)) if k)
 
 
 def test_two_period_descent_depth_within_lame_bound():
