@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from itertools import starmap
 
 from .periods import PeriodSet
-from .reduction import ReductionChain, chain_jumps, extremal_length, generating_prefix, letter_at
+from .reduction import ReductionChain, chain_jumps, check_prefix_size, extremal_length, generating_prefix, letter_at
 from .words import ORACLE_MAX_LENGTH, extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
@@ -61,8 +61,9 @@ def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], st
 def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
-    # The word is the periodic extension of `prefix` to length n: the
-    # generating prefix for the fast engine, the residue labels for the oracle.
+    # The word is the periodic extension of `prefix` to length n: the oracle's residue labels,
+    # or the fast engine's generating prefix. Past the extremal length (None: every length) the
+    # word has period gcd(P), so its residues mod gcd suffice, in O(gcd + one chunk) memory.
     if args.engine == "oracle":
         if n > ORACLE_MAX_LENGTH:
             raise ValueError(
@@ -71,6 +72,9 @@ def _cmd_word(args: argparse.Namespace) -> int:
         from .oracle import residue_labels
 
         prefix = residue_labels(ps, n)
+    elif n > (extremal_length(ps) or -1):
+        check_prefix_size(ps, n)
+        prefix = tuple(range(min(ps.gcd, n)))
     else:
         prefix = generating_prefix(ps, n)
     token, sep, head, tail = str, " ", "", ""

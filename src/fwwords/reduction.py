@@ -152,6 +152,14 @@ def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], i
         yield (m,) if second is None else (m, second, *[t - off for t in tail]), length, k or 1, end
 
 
+def check_prefix_size(periods: PeriodSet, n: int) -> None:
+    """OutOfRangeError when the generating prefix, min(min_period, n) letters, is longer than ORACLE_MAX_LENGTH."""
+    if (size := min(periods.min_period, n)) > ORACLE_MAX_LENGTH:
+        raise OutOfRangeError(
+            f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
+        )
+
+
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
     """The length-min(min_period, n) prefix that generates fw_fast(periods, n).
 
@@ -160,11 +168,7 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
     affordable when n itself is too large to materialize. A prefix longer
     than ORACLE_MAX_LENGTH raises OutOfRangeError before anything is built.
     """
-    size = min(periods.min_period, n)
-    if size > ORACLE_MAX_LENGTH:
-        raise OutOfRangeError(
-            f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
-        )
+    check_prefix_size(periods, n)
     *jumps, (m, length, _, _, _, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
     gen: Word = tuple(range(min(length, m)))

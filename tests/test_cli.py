@@ -15,7 +15,7 @@ import pytest
 
 from fwwords import cli, selftest
 from fwwords.cli import main, render_chain
-from fwwords import PeriodSet, Termination, fw_fast, fw_oracle, is_trivial, letter_at
+from fwwords import PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
 from fwwords.words import ORACLE_MAX_LENGTH
 from fwwords.reduction import reduction_chain
 from fwwords.words import alphabet
@@ -268,10 +268,13 @@ def test_selftest_work_counts_the_literal_levels(capsys, max_period, max_n):
     [
         *(["word", "--periods", "10000000000", "--format", fmt] for fmt in ("ints", "dense", "json")),
         ["bench", "--periods", "10000000000,10000000001"],
+        *(["word", "--periods", "10000000000,10000000001", "--format", fmt] for fmt in ("ints", "dense", "json")),
     ],
 )
 def test_generating_prefix_above_the_limit_exit_2(capsys, argv):
-    # min(min P, length) = 10**10 letters: refused before the prefix is built
+    # min(min P, length) = 10**10 letters: refused before the prefix is built,
+    # also for {10**10, 10**10 + 1}, whose 10**11-letter word (gcd 1, extremal
+    # length about 2*10**10) is trivial
     code, out, err = run_cli(capsys, *argv, "--length", "100000000000")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err
@@ -411,6 +414,36 @@ def test_word_streams_the_materialized_word(monkeypatch):
                 assert out.getvalue() == _reference_output(ps, n, fmt, w), (values, n, engine, fmt)
 
 
+def _word_or_refusal(values, n, fmt, engine):
+    """What `word` writes on stdout, or the ValueError it refuses with."""
+    args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._cmd_word(args)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "printed", out.getvalue()
+
+
+def test_word_engines_agree_across_the_extremal_length(monkeypatch):
+    # The fast engine prints a word past the extremal length L from its
+    # residues mod gcd, and below it from the generating prefix: both sides
+    # of L match the oracle, refusals (dense with a letter of 36 or more) included.
+    monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
+    rng = random.Random(1515)
+    for _ in range(80):
+        g = rng.choice((1, 2, 3, 6, 10))
+        values = sorted({g * rng.randint(1, 30) for _ in range(rng.randint(2, 5))})
+        ps = PeriodSet(values)
+        L = extremal_length(ps)
+        lengths = (0, 1, ps.min_period, 2 * sum(values)) if L is None else (L - 1, L, L + 1, L + 2, 2 * L)
+        for n in lengths:
+            for fmt in ("ints", "dense", "json"):
+                fast = _word_or_refusal(values, n, fmt, "fast")
+                assert fast == _word_or_refusal(values, n, fmt, "oracle"), (values, n, fmt)
+
+
 def test_word_oracle_size_guard(capsys, monkeypatch):
     too_long = str(cli.ORACLE_MAX_LENGTH + 1)
     code, out, err = run_cli(capsys, "word", "--periods", "5,7", "--length", too_long, "--engine", "oracle")
@@ -459,6 +492,17 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     assert len(head) == size
     for i in (0, 1, 7, 12345, size - 1):
         assert head[i : i + 1].decode() == cli.DENSE_DIGITS[letter_at(ps, n, i)]
+    assert (code, err) == (0, b"")
+    assert peak_kb < 40 * 1024
+
+
+def test_trivial_word_streams_in_bounded_memory():
+    # {9999991, 9999992} has gcd 1 and extremal length about 2*10**7, so its
+    # 10**10-letter word is all 0: printed from one residue, not from its
+    # 9,999,991-letter generating prefix.
+    argv = ["word", "--periods", "9999991,9999992", "--length", str(10**10), "--format", "dense"]
+    head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
+    assert head == b"0" * (1 << 20)
     assert (code, err) == (0, b"")
     assert peak_kb < 40 * 1024
 
