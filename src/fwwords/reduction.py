@@ -56,22 +56,19 @@ def reduce_periods(periods: PeriodSet) -> PeriodSet:
 
 
 def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[PeriodSet, int]:
-    """Apply up to `budget` reduction steps in one arithmetic pass.
-
-    Returns the resulting set and the number of steps taken (always >= 1,
-    at most the budget; None means unlimited). The step count is capped so
-    that the jump equals that many literal `reduce_periods` applications.
+    """The first jump of the descent from `periods`: the set it reaches and
+    its k literal steps, at most `budget` of them (None means no cap). Needs
+    min > gcd, where the descent jumps. Kept only for `perfbench`'s descent
+    models; commands run the descent itself.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    m, *rest = periods.periods
-    # The minimum must stay the minimum and no other period may meet it before
-    # the jump's final set, which caps the steps at (second - m) // m; always >= 1.
-    k = (rest[0] - m) // m or 1 if rest else 1
-    if budget is not None:
-        k = min(k, budget)
-    # every other period drops by k*m; one that meets m merges, one below it is the new minimum
-    return PeriodSet((m, *[p - k * m for p in rest])), k
+    if periods.min_period == periods.gcd:
+        raise ValueError(f"the descent does not jump from {periods}: its minimum is its gcd")
+    # length budget*m + 1 caps a jump at budget steps; 2*sum(P) caps none (see extremal_length)
+    jumps = chain_jumps(periods, 2 * sum(periods.periods) if budget is None else budget * periods.min_period + 1)
+    (_, _, k, _), (reached, *_) = next(jumps), next(jumps)
+    return PeriodSet(reached), k
 
 
 def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:

@@ -164,7 +164,7 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     built. Each period set counts (L+1)(L+2)/2, L = max(max_period, max_n),
     for the letter queries, the words and the extremal-boundary words, plus
     the levels letter_at_unbatched descends: the sum of k * (k // m + 1) over
-    lengths k <= max_n, m = min(P), taken in closed form.
+    lengths k <= max_n, m = min(P).
     """
     if max_period < 1 or max_n < 0:
         raise OutOfRangeError(f"the grid needs max_period >= 1 and max_n >= 0, got {max_period} and {max_n}")
@@ -172,8 +172,7 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     work = sets * math.comb(max(max_n, max_period) + 2, 2)
     if work <= MAX_GRID_WORK:  # so max_period <= 40 and the loop is short
         for m in range(1, max_period + 1):  # the sets with minimum m
-            q = max_n // m
-            levels = (q + 1) * (6 * max_n * (max_n + 1) - m * q * (m * (2 * q + 1) - 3)) // 12
+            levels = sum(k * (k // m + 1) for k in range(max_n + 1))
             work += levels * sum(math.comb(max_period - m, size) for size in range(GRID_MAX_SET_SIZE))
     if work > MAX_GRID_WORK:
         raise OutOfRangeError(f"the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n")

@@ -23,7 +23,6 @@ two-clause relation in tests/test_oracle.py.
 import json
 import math
 import time
-from itertools import combinations
 
 from fwwords import (
     PeriodSet,
@@ -35,7 +34,7 @@ from fwwords import (
 )
 from fwwords.cli import main, render_chain
 from fwwords.oracle import class_count, max_alphabet_exhaustive
-from fwwords.reduction import batched_reduce, reduce_periods, reduction_chain
+from fwwords.reduction import chain_jumps, reduction_chain
 from fwwords.selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, FAMILIES
 
 GRID = grid_period_sets(DEFAULT_MAX_PERIOD)
@@ -130,37 +129,33 @@ def test_c6_extremal_words_palindromic_as_pinned():
 def test_c7_exhaustive_maximality_uniqueness():
     start = time.perf_counter()
     checked = 0
-    for size in range(1, 9):
-        for combo in combinations(range(1, 9), size):
-            ps = PeriodSet(combo)
-            for n in range(17):
-                best, witnesses = max_alphabet_exhaustive(ps, n)
-                assert best == class_count(ps, n), f"periods={ps} n={n}"
-                assert witnesses == (fw_oracle(ps, n),), f"periods={ps} n={n}"
-                checked += 1
+    for ps in grid_period_sets(8, 8):
+        for n in range(17):
+            best, witnesses = max_alphabet_exhaustive(ps, n)
+            assert best == class_count(ps, n), f"periods={ps} n={n}"
+            assert witnesses == (fw_oracle(ps, n),), f"periods={ps} n={n}"
+            checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"exhaustive sweep took {elapsed:.1f} s"
     report(f"C7 maximality and uniqueness by brute force ({checked} cases, {elapsed:.1f} s)")
 
 
 def test_c8_batched_paths_equal_literal_paths():
-    # jumped reduction replays exactly as iterated single steps, sets and counts
+    # the production descent, each jump expanded into its k steps, replays the
+    # literal chain set by set and length by length; at 2*sum(P) no jump is
+    # capped and both end at min == gcd
     for ps in grid_period_sets(60):
-        literal = [ps]
-        cur = ps
-        while cur.min_period != cur.gcd:
-            cur = reduce_periods(cur)
-            literal.append(cur)
-        cur, taken = ps, 0
-        while cur.min_period != cur.gcd:
-            cur, k = batched_reduce(cur)
-            taken += k
-            assert cur == literal[taken], f"jump diverges for periods={ps} after {taken} steps"
-        assert taken == len(literal) - 1, f"step count differs for periods={ps}"
+        n = 2 * sum(ps.periods)
+        literal = reduction_chain(ps, n)
+        replay = []
+        for (m, *rest), length, k, end in chain_jumps(ps, n):
+            replay += [((m, *[p - s * m for p in rest]), length - s * m) for s in range(k)]
+        assert replay == [(q.periods, length) for q, length in literal.steps], f"descent diverges for periods={ps}"
+        assert end is literal.termination, f"termination differs for periods={ps}"
     # jumped extremal lengths equal their literal twins, at the triviality
     # boundary (jumped letter queries: C2's letter-queries)
     assert run_family("extremal-boundary") == 194
-    report("C8 batching equivalence (reduction replay <= 60; extremal boundary on the full grid)")
+    report("C8 batching equivalence (production descent replay <= 60; extremal boundary on the full grid)")
 
 
 def test_c9_performance_budgets(capsys):

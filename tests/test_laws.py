@@ -18,6 +18,10 @@ Extremal boundary: the word at extremal_length(P) is non-trivial and the
 one a letter longer is trivial, checked on the generating prefix at
 min(P) up to about 10**6.
 
+Generators: fw_oracle(P, n) and fw_fast(P, n) are the min(P)-periodic
+extensions of residue_labels(P, n) and generating_prefix(P, n), so equal
+generators are the whole two-engine check at any n, in O(min(P) * |P|).
+
 Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
 the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
 1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
@@ -38,6 +42,7 @@ from fwwords import (
     is_trivial,
     letter_at,
 )
+from fwwords.oracle import residue_labels
 from fwwords.reduction import reduce_periods
 
 
@@ -142,6 +147,30 @@ def test_extremal_boundary_at_scale():
         assert extremal >= ps.min_period, ps
         assert not is_trivial(generating_prefix(ps, extremal), ps), ps
         assert is_trivial(generating_prefix(ps, extremal + 1), ps), ps
+
+
+def test_engines_agree_at_every_length():
+    # min(P) below 400 with gcd g, other periods up to 10**12, at the extremal
+    # length L and its neighbours (1 and min(P) when there is none) and at one
+    # n in [10**6, 10**13]; then a three-period Fibonacci set at L
+    rng = random.Random(27)
+    cases = []
+    for _ in range(300):
+        g = rng.choice((1, 2, 3, 6))
+        values = [rng.randrange(1, 400 // g)] + [rng.randrange(1, 10**12 // g) for _ in range(rng.randrange(1, 6))]
+        ps = PeriodSet(g * v for v in values)
+        extremal = extremal_length(ps)
+        lengths = (1, ps.min_period) if extremal is None else (extremal - 1, extremal, extremal + 1)
+        cases += [(ps, n) for n in (*lengths, rng.randrange(10**6, 10**13 + 1))]
+    fibonacci = PeriodSet([75025, 121393, 196423])
+    assert extremal_length(fibonacci) == 196416
+    cases.append((fibonacci, 196416))
+    nontrivial = 0
+    for ps, n in cases:
+        prefix = generating_prefix(ps, n)
+        assert residue_labels(ps, n) == prefix, (ps, n)
+        nontrivial += not is_trivial(prefix, ps)
+    assert nontrivial > 500
 
 
 def christoffel(p, q):

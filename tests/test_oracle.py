@@ -1,8 +1,6 @@
-from itertools import combinations
-
 import pytest
 
-from fwwords import PeriodSet, build_partition, canonicalize, fw_fast, fw_oracle, has_period
+from fwwords import PeriodSet, build_partition, canonicalize, fw_fast, fw_oracle, grid_period_sets, has_period
 from fwwords.errors import TooLargeForExhaustiveError
 from fwwords.oracle import class_count, max_alphabet_exhaustive
 from fwwords.words import alphabet
@@ -52,16 +50,10 @@ def two_clause_partition(periods, k):
     return tuple(reps)
 
 
-def small_period_sets(max_period, max_size=3):
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(1, max_period + 1), size):
-            yield PeriodSet(combo)
-
-
 def test_single_step_edges_match_two_clause_relation():
     # k runs past 2·max(P): it covers k < min(P) and edges that reach only
     # the residues x with x + p < k
-    for ps in small_period_sets(9, 4):
+    for ps in grid_period_sets(9, 4):
         for k in range(2 * max(ps) + 3):
             assert build_partition(ps, k).reps == two_clause_partition(ps.periods, k), (ps, k)
 
@@ -105,7 +97,7 @@ def test_empty_partition():
 
 
 def test_representative_invariants():
-    for ps in small_period_sets(6):
+    for ps in grid_period_sets(6):
         for k in range(12):
             reps = build_partition(ps, k).reps
             for i, r in enumerate(reps):
@@ -120,7 +112,7 @@ def test_fw_oracle_known_words():
 
 
 def test_fw_oracle_has_all_periods_and_is_canonical():
-    for ps in small_period_sets(6):
+    for ps in grid_period_sets(6):
         for n in range(14):
             w = fw_oracle(ps, n)
             assert all(has_period(w, p) for p in ps)
@@ -133,7 +125,7 @@ def test_class_count():
     assert class_count(PeriodSet([2, 3]), 4) == 1
     for n in range(6):
         assert class_count(PeriodSet([5, 7]), n) == n  # n <= min: all singletons
-    for ps in small_period_sets(5):
+    for ps in grid_period_sets(5):
         for n in range(12):
             assert class_count(ps, n) == len(alphabet(fw_oracle(ps, n)))
 

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import combinations
 
 import pytest
 
@@ -12,15 +11,16 @@ from fwwords import (
     fw_fast,
     fw_oracle,
     generating_prefix,
+    grid_period_sets,
     is_palindrome,
     is_trivial,
     letter_at,
     pref,
 )
 from fwwords.reduction import (
-    _descent,
     _reduce,
     batched_reduce,
+    chain_jumps,
     extremal_length_unbatched,
     letter_at_unbatched,
     reduce_periods,
@@ -33,12 +33,6 @@ while len(FIB) < 1437:
     FIB.append(FIB[-1] + FIB[-2])
 
 
-def small_period_sets(max_period, max_size=3):
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(1, max_period + 1), size):
-            yield PeriodSet(combo)
-
-
 def test_reduce_periods():
     assert reduce_periods(PeriodSet([5, 7])) == PeriodSet([2, 5])
     assert reduce_periods(PeriodSet([2, 5])) == PeriodSet([2, 3])
@@ -48,7 +42,7 @@ def test_reduce_periods():
 
 
 def test_reduce_preserves_gcd():
-    for ps in small_period_sets(20, max_size=2):
+    for ps in grid_period_sets(20, max_size=2):
         assert reduce_periods(ps).gcd == ps.gcd
 
 
@@ -79,7 +73,7 @@ def test_reduction_chain_tie_prefers_length():
 
 
 def test_reduction_chain_invariants():
-    for ps in small_period_sets(9):
+    for ps in grid_period_sets(9):
         for n in (0, 5, 23, 40):
             chain = reduction_chain(ps, n)
             sets, lengths = zip(*chain.steps)
@@ -117,7 +111,7 @@ def test_generating_prefix():
 
 
 def test_prefix_property_via_fast_engine():
-    for ps in small_period_sets(7):
+    for ps in grid_period_sets(7):
         m = ps.min_period
         for k in range(20):
             assert fw_fast(reduce_periods(ps), k) == pref(fw_fast(ps, k + m), k)
@@ -182,7 +176,7 @@ def test_extremal_matches_oracle_scan():
 
 
 def test_extremal_batched_equals_unbatched():
-    for ps in small_period_sets(14):
+    for ps in grid_period_sets(14):
         assert extremal_length(ps) == extremal_length_unbatched(ps)
 
 
@@ -204,7 +198,6 @@ def test_extremal_word_for_coprime_pair_is_palindromic():
 def test_batched_reduce_jumps():
     assert batched_reduce(PeriodSet([3, 100])) == (PeriodSet([3, 4]), 32)
     assert batched_reduce(PeriodSet([5, 7])) == (PeriodSet([2, 5]), 1)
-    assert batched_reduce(PeriodSet([5]), 3) == (PeriodSet([5]), 1)
     assert batched_reduce(PeriodSet([3, 100]), 10) == (PeriodSet([3, 70]), 10)
 
 
@@ -218,15 +211,9 @@ def test_batched_reduce_equals_literal_iteration():
 def test_batched_reduce_rejects_bad_budget():
     with pytest.raises(ValueError):
         batched_reduce(PeriodSet([5, 7]), 0)
-
-
-def _levels(ps, n):
-    # each jump of the descent as (its sorted set, length, k), the set rebuilt
-    # as it is yielded: later jumps change the tail list in place
-    return [
-        ((m,) if second is None else (m, second, *[t - off for t in tail]), length, k)
-        for m, length, k, second, tail, off in _descent(ps, n)
-    ]
+    # min == gcd: the descent stops there instead of jumping
+    with pytest.raises(ValueError):
+        batched_reduce(PeriodSet([5]), 3)
 
 
 def test_descent_jumps_equal_literal_steps():
@@ -240,10 +227,11 @@ def test_descent_jumps_equal_literal_steps():
     for values in cases:
         ps = PeriodSet(values)
         n = rng.randrange(1, 2 * sum(values)) if len(values) < 1000 else 2 * sum(values)
-        levels = _levels(ps, n)
+        levels = list(chain_jumps(ps, n))
         assert levels[0][:2] == (ps.periods, n)
-        for (cur, length, k), (nxt, length2, _) in zip(levels, levels[1:]):
+        for (cur, length, k, end), (nxt, length2, _, _) in zip(levels, levels[1:]):
             m = cur[0]
+            assert end is None
             literal = cur
             for _ in range(k):
                 literal = _reduce(literal)
@@ -258,13 +246,13 @@ def test_descent_jumps_equal_literal_steps():
                 kinds.add("new minimum, old one already present")
             elif 1 < nxt.index(m) < len(nxt) - 1:
                 kinds.add("new minimum, old one inserted mid-list")
-        (m, *_), length, k = levels[-1]
-        assert k == 0 and (length <= m or m == ps.gcd)
+        (m, *_), length, _, end = levels[-1]
+        assert end is not None and (length <= m or m == ps.gcd)
     assert len(kinds) == 4, kinds
 
 
 def _jump_count(p, q):
-    return sum(1 for _, _, k, _, _, _ in _descent(PeriodSet((p, q)), 2 * (p + q)) if k)
+    return sum(1 for *_, end in chain_jumps(PeriodSet((p, q)), 2 * (p + q)) if end is None)
 
 
 def test_two_period_descent_depth_within_lame_bound():
