@@ -21,7 +21,7 @@ from .words import ORACLE_MAX_LENGTH, extend_periodically, is_trivial
 # in their handlers, so a query process never loads it.
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of `chain`
+STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of a two-period `chain`
 
 
 def _parse_periods(text: str) -> PeriodSet:
@@ -137,8 +137,10 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         # with line "Q{0}={{5,{2}}} n{0}={1}\n" for periods (5, p)
         m, rest = periods[0], periods[1:]
         line = "Q{0}={{" + ",".join([str(m), *(f"{{{j}}}" for j in range(2, len(periods) + 1))]) + "}} n{0}={1}\n"
-        for a in range(0, k, STREAM_CHUNK):
-            b = min(a + STREAM_CHUNK, k)
+        # a line grows with the periods it holds, so a write holds fewer of them
+        chunk = max(1, 2 * STREAM_CHUNK // len(periods))
+        for a in range(0, k, chunk):
+            b = min(a + chunk, k)
             columns = [range(idx + a, idx + b), *(range(p - a * m, p - b * m, -m) for p in (length, *rest))]
             write("".join(starmap(line.format, zip(*columns))))
         idx += k

@@ -14,15 +14,16 @@ for periods around 10**12 effectively instant. The descent holds the minimum
 and the next period as plain ints and the others in an ascending list
 raised by a running offset, so a jump that keeps the minimum does O(1) work
 and one that changes it does one list shift. Each jumped routine keeps a
-deliberately literal twin (`letter_at_unbatched`, `extremal_length_unbatched`,
-`reduction_chain`, iterated `reduce_periods`) that serves as its test oracle.
+literal twin as its test oracle (`letter_at_unbatched`, `extremal_length_unbatched`,
+`reduction_chain`, `reduce_periods`); the twins read one literal chain, one
+`_reduce` per level, which `selftest` builds once per word and walks per position.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .errors import OutOfRangeError
@@ -71,25 +72,34 @@ def batched_reduce(periods: PeriodSet, budget: int | None = None) -> tuple[Perio
     return PeriodSet(reached), k
 
 
+def _literal_levels(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # reduction_chain's levels as (sorted periods, length), one _reduce each; no code of the jumps
+    if n < 0:
+        raise OutOfRangeError(f"length must be >= 0, got {n}")
+    cur, length = periods.periods, n
+    yield cur, length
+    while length > cur[0] and cur[0] != periods.gcd:
+        cur, length = _reduce(cur), length - cur[0]
+        yield cur, length
+
+
+def _literal_letter(levels: Iterable[tuple[tuple[int, ...], int]], i: int) -> int:
+    # letter i of the word with literal chain `levels`: i mod m once it reaches length - m, or at the last level
+    for cur, length in levels:
+        if (i := i % cur[0]) >= length - cur[0]:
+            return i
+    return i
+
+
 def reduction_chain(periods: PeriodSet, n: int) -> ReductionChain:
     """Iterate the reduction literally, recording every (set, length) visited.
 
     Stops at the first length <= min (LengthAtMostMin) or min == gcd
-    (GcdEqualsMin); when both hold, the length condition wins. Lengths drop
-    by at least one per step, so the chain is finite.
+    (GcdEqualsMin); when both hold, the length condition wins.
     """
-    if n < 0:
-        raise OutOfRangeError(f"length must be >= 0, got {n}")
-    steps = [(periods, n)]
-    cur, length = periods, n
-    while True:
-        if length <= cur.min_period:
-            return ReductionChain(tuple(steps), Termination.LENGTH_AT_MOST_MIN)
-        if cur.min_period == cur.gcd:
-            return ReductionChain(tuple(steps), Termination.GCD_EQUALS_MIN)
-        length -= cur.min_period
-        cur = reduce_periods(cur)
-        steps.append((cur, length))
+    steps = tuple((PeriodSet(cur), length) for cur, length in _literal_levels(periods, n))
+    end = Termination.LENGTH_AT_MOST_MIN if steps[-1][1] <= steps[-1][0].min_period else Termination.GCD_EQUALS_MIN
+    return ReductionChain(steps, end)
 
 
 def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[int, int, int, int | None, list[int], int]]:
@@ -209,18 +219,10 @@ def letter_at(periods: PeriodSet, n: int, i: int) -> int:
 
 
 def letter_at_unbatched(periods: PeriodSet, n: int, i: int) -> int:
-    """One-level-at-a-time twin of letter_at; O(n / min) levels, test use only."""
+    """One-level-at-a-time twin of letter_at: walks the literal chain; test use only."""
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
-    cur = periods.periods
-    while True:
-        m = cur[0]
-        if n <= m:
-            return i
-        r = i % m
-        if r >= n - m:
-            return r
-        cur, n, i = _reduce(cur), n - m, r
+    return _literal_letter(_literal_levels(periods, n), i)
 
 
 def extremal_length(periods: PeriodSet) -> int | None:
@@ -254,15 +256,11 @@ def extremal_length(periods: PeriodSet) -> int | None:
 
 
 def extremal_length_unbatched(periods: PeriodSet) -> int | None:
-    """Step-by-step twin of extremal_length; test use only."""
+    """Step-by-step twin of extremal_length; test use only. At length 2*sum(P) its chain ends at min == gcd."""
     if periods.gcd == periods.min_period:
         return None
-    mins: list[int] = []
-    cur = periods.periods
-    while cur[0] != periods.gcd:  # a step keeps the gcd
-        mins.append(cur[0])
-        cur = _reduce(cur)
-    value = cur[0] - 1
-    for m in reversed(mins):
-        value = m + max(m - 1, value)
+    *levels, (last, _) = _literal_levels(periods, 2 * sum(periods.periods))
+    value = last[0] - 1
+    for cur, _ in reversed(levels):
+        value = cur[0] + max(cur[0] - 1, value)
     return value

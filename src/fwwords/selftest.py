@@ -15,11 +15,12 @@ from .errors import OutOfRangeError
 from .oracle import fw_oracle
 from .periods import PeriodSet
 from .reduction import (
+    _literal_letter,
+    _literal_levels,
     extremal_length,
     extremal_length_unbatched,
     fw_fast,
     letter_at,
-    letter_at_unbatched,
     reduce_periods,
 )
 from .words import canonicalize, is_palindrome, is_trivial, pref
@@ -51,12 +52,13 @@ def _word_equivalence(ps: PeriodSet, max_n: int) -> int:
 
 
 def _letter_queries(ps: PeriodSet, max_n: int) -> int:
-    """letter_at and its literal twin against every letter of every word."""
+    """letter_at and its literal twin, one literal chain per word, against every letter."""
     for n in range(max_n + 1):
+        levels = list(_literal_levels(ps, n))
         for i, letter in enumerate(fw_fast(ps, n)):
             if letter_at(ps, n, i) != letter:
                 raise _Failure(f"letter_at mismatch for periods={ps} n={n} position={i}")
-            if letter_at_unbatched(ps, n, i) != letter:
+            if _literal_letter(levels, i) != letter:
                 raise _Failure(f"letter_at_unbatched mismatch for periods={ps} n={n} position={i}")
     return max_n * (max_n + 1) // 2
 
@@ -162,9 +164,9 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
     An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
     does one whose work exceeds MAX_GRID_WORK, counted before anything is
     built. Each period set counts (L+1)(L+2)/2, L = max(max_period, max_n),
-    for the letter queries, the words and the extremal-boundary words, plus
-    the levels letter_at_unbatched descends: the sum of k * (k // m + 1) over
-    lengths k <= max_n, m = min(P).
+    for the letter queries, the words and the extremal-boundary words, plus an
+    upper bound on the literal levels walked: k // m + 1, m = min(P), for each
+    position of each length k <= max_n (the refusals predate the gcd stop).
     """
     if max_period < 1 or max_n < 0:
         raise OutOfRangeError(f"the grid needs max_period >= 1 and max_n >= 0, got {max_period} and {max_n}")

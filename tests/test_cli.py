@@ -254,8 +254,8 @@ def test_selftest_grid_work_bound_exit_2(capsys, max_period, max_n):
 
 @pytest.mark.parametrize("max_period,max_n", [(3, 1500), (2, 600)])
 def test_selftest_work_counts_the_literal_levels(capsys, max_period, max_n):
-    # letter_at_unbatched descends up to n // min(P) + 1 levels for each of
-    # the n queries at length n, which the closed form in the guard sums
+    # the guard counts up to n // min(P) + 1 literal levels for each of the n
+    # queries at length n, an upper bound on the levels the walk visits
     sets = grid_period_sets(max_period)
     levels = sum(n * (n // ps.min_period + 1) for ps in sets for n in range(max_n + 1))
     work = len(sets) * math.comb(max(max_period, max_n) + 2, 2) + levels
@@ -529,6 +529,20 @@ def test_chain_closed_pipe_streams_in_bounded_memory():
     lines = head.decode().split("\n")[:-1]  # the last line may be cut
     assert len(lines) > 10_000
     assert lines == [f"Q{k}={{{m},{big - k * m}}} n{k}={n - k * m}" for k in range(len(lines))]
+    assert (code, err) == (0, b"")
+    assert peak_kb < 40 * 1024
+
+
+def test_chain_of_many_periods_streams_in_bounded_memory():
+    # A line holds all 1000 periods, about 11 kB: 8,192 such lines per write
+    # would peak near 171 MiB, so a write holds 2 * 8,192 // 1000 lines.
+    m, others, n = 1000, [10**9 + 7 * j for j in range(1, 1000)], 10**12
+    argv = ["chain", "--periods", ",".join(map(str, [m, *others])), "--length", str(n)]
+    head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
+    lines = head.decode().split("\n")[:-1]  # the last line may be cut
+    assert len(lines) > 50
+    for k, line in enumerate(lines):
+        assert line == f"Q{k}={{{','.join(map(str, [m, *(p - k * m for p in others)]))}}} n{k}={n - k * m}"
     assert (code, err) == (0, b"")
     assert peak_kb < 40 * 1024
 

@@ -17,7 +17,9 @@ from fwwords import (
     letter_at,
     pref,
 )
+from fwwords import reduction
 from fwwords.reduction import (
+    _literal_levels,
     _reduce,
     batched_reduce,
     chain_jumps,
@@ -82,6 +84,35 @@ def test_reduction_chain_invariants():
                 assert n1 == n0 - q0.min_period
                 assert q1 == reduce_periods(q0)
                 assert q1.gcd == q0.gcd
+
+
+def test_literal_levels_are_the_reduction_chain():
+    # the private literal loop behind the twins: the same levels, and only its
+    # last one meets a stop condition
+    for ps in grid_period_sets(12):
+        for n in range(41):
+            levels = list(_literal_levels(ps, n))
+            assert [(PeriodSet(cur), length) for cur, length in levels] == list(reduction_chain(ps, n).steps)
+            *inner, (last, length) = levels
+            assert all(length > cur[0] > ps.gcd for cur, length in inner)
+            assert length <= last[0] or last[0] == ps.gcd
+
+
+def test_letter_at_unbatched_stops_at_the_gcd(monkeypatch):
+    # {4,6} reaches min == gcd == 2 after one step: the letter is i mod 2 at
+    # any length, so the walk must not step on towards length <= min
+    calls = []
+    literal = reduction._reduce
+
+    def counted(periods):
+        calls.append(periods)
+        assert len(calls) <= 2, calls  # fails at once rather than stepping 10**12 / 2 times
+        return literal(periods)
+
+    monkeypatch.setattr(reduction, "_reduce", counted)
+    for i in (0, 1, 12345, 10**12 - 5, 10**12 - 1):
+        calls.clear()
+        assert letter_at_unbatched(PeriodSet([4, 6]), 10**12, i) == i % 2
 
 
 def test_fw_fast_known_words():
@@ -223,10 +254,12 @@ def test_descent_jumps_equal_literal_steps():
     rng = random.Random(10)
     cases = [rng.sample(range(1, 501), rng.randrange(2, 61)) for _ in range(150)]
     cases += [rng.sample(range(10**6, 10**7 + 1), 1000) for _ in range(3)]
+    cases = [(values, rng.randrange(1, 2 * sum(values)) if len(values) < 1000 else 2 * sum(values)) for values in cases]
+    # a jump's k*m would reach the length itself: the cap stops it one step short
+    cases += [([3, 100], 96), ([2, 12], 10), ([7, 50, 90], 42)]
     kinds = set()
-    for values in cases:
+    for values, n in cases:
         ps = PeriodSet(values)
-        n = rng.randrange(1, 2 * sum(values)) if len(values) < 1000 else 2 * sum(values)
         levels = list(chain_jumps(ps, n))
         assert levels[0][:2] == (ps.periods, n)
         for (cur, length, k, end), (nxt, length2, _, _) in zip(levels, levels[1:]):
@@ -235,7 +268,8 @@ def test_descent_jumps_equal_literal_steps():
             literal = cur
             for _ in range(k):
                 literal = _reduce(literal)
-            assert nxt == literal and length2 == length - k * m, (values, n, m, length)
+            # the cap keeps a jump above length 0: k*m < length
+            assert nxt == literal and length2 == length - k * m and length2 > 0, (values, n, m, length)
             assert batched_reduce(PeriodSet(cur), k) == (PeriodSet(nxt), k), (values, n, m, length)
             shifted = [p - k * m for p in cur[1:]]
             if shifted[0] > m:
