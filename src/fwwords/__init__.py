@@ -1,12 +1,13 @@
 """Maximal-alphabet words for a prescribed set of periods.
 
-Two independent engines build the same canonical word: a closure search over
-the residues mod min(P) (`fw_oracle`) and a Euclid-style reduction
-(`fw_fast`), with single-letter queries (`letter_at`) and extremal
-non-trivial lengths (`extremal_length`) on top. `fwwords.cli` exposes the
-command-line surface. The reference code the tests check against (literal
-twins of the jumped routines, the exhaustive maximality search) stays in its
-defining module and is not exported here.
+Two independent engines build the same canonical word, each as a generator of
+min(min P, n) letters extended periodically: the labels of a closure search
+over the residues mod min(P) (`fw_oracle`) and the generating prefix of a
+Euclid-style reduction (`fw_fast`), with single-letter queries (`letter_at`)
+and extremal non-trivial lengths (`extremal_length`) on top. `fwwords.cli`
+exposes the command-line surface. The reference code the tests check against
+(literal twins of the jumped routines, the exhaustive maximality search) stays
+in its defining module and is not exported here.
 """
 
 from importlib import import_module
@@ -21,7 +22,7 @@ _EXPORTS = {
     for module, names in {
         "bench": ("BenchRow", "run_bench"),
         "errors": ("EmptyGeneratorError", "EmptyPeriodSetError", "InvalidPeriodError", "OutOfRangeError"),
-        "oracle": ("build_partition", "fw_oracle"),
+        "oracle": ("fw_oracle",),
         "periods": ("PeriodSet",),
         "reduction": ("Termination", "extremal_length", "fw_fast", "generating_prefix", "letter_at"),
         "selftest": ("SelftestReport", "grid_period_sets", "run_selftest"),

@@ -7,32 +7,18 @@ position with the smallest member of its class gives, directly from the
 definition, the word of maximal alphabet with those periods. The closure is
 a search over the residues mod m that never reduces the period set, so it
 stays independent of the reduction engine in `fwwords.reduction` that it is
-checked against.
+checked against. The word is those residue labels (`residue_labels`),
+extended with period m: as the letters are the class minima, the word itself
+names each position's class.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
 from .words import Word, extend_periodically
 
 EXHAUSTIVE_BOUND = 9  # largest min(min P, n) that max_alphabet_exhaustive accepts: Bell(9) = 21,147 prefixes
-
-
-class EquivalencePartition(NamedTuple):
-    """Partition of {0..length-1}; reps[i] is the smallest position equivalent to i."""
-
-    length: int
-    reps: Word
-
-    def classes(self) -> list[tuple[int, ...]]:
-        """The classes themselves, each ascending, ordered by their minima."""
-        by_rep: dict[int, list[int]] = {}
-        for i, r in enumerate(self.reps):
-            by_rep.setdefault(r, []).append(i)
-        return [tuple(by_rep[r]) for r in sorted(by_rep)]
 
 
 def residue_labels(periods: PeriodSet, k: int) -> Word:
@@ -72,11 +58,6 @@ def residue_labels(periods: PeriodSet, k: int) -> Word:
     return tuple(labels)
 
 
-def build_partition(periods: PeriodSet, k: int) -> EquivalencePartition:
-    """Group positions {0..k-1} that any word with these periods must letter alike."""
-    return EquivalencePartition(k, extend_periodically(residue_labels(periods, k), k))
-
-
 def fw_oracle(periods: PeriodSet, n: int) -> Word:
     """The length-n word with every period in `periods` and the largest alphabet.
 
@@ -85,12 +66,7 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
     at position v). Costs O(min(m, n) * len(periods) + n) with m = min(periods);
     use `fwwords.reduction.fw_fast` for the same word at large n.
     """
-    return build_partition(periods, n).reps
-
-
-def class_count(periods: PeriodSet, n: int) -> int:
-    """Alphabet size of fw_oracle(periods, n) without keeping the word."""
-    return len(set(residue_labels(periods, n)))
+    return extend_periodically(residue_labels(periods, n), n)
 
 
 def max_alphabet_exhaustive(periods: PeriodSet, n: int) -> tuple[int, tuple[Word, ...]]:

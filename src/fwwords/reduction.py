@@ -116,6 +116,7 @@ def _descent(periods: PeriodSet, n: int) -> Iterator[tuple[int, int, int, int | 
         raise OutOfRangeError(f"length must be >= 0, got {n}")
     gcd = periods.gcd
     m, *tail = periods.periods
+    # second stays an int: kept as the list's head, each change of minimum was list work, 2-3x slower on Fibonacci pairs
     second = tail.pop(0) if tail else None
     length, off = n, 0
     while True:
@@ -181,10 +182,8 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
     gen: Word = tuple(range(min(length, m)))
     for m, top, k, _, _, _ in reversed(jumps):
         bottom = top - k * m
-        if m <= bottom:
-            gen = extend_periodically(gen, m)
-        else:
-            gen = extend_periodically(gen, bottom) + tuple(range(bottom, m))
+        # fresh letters where the word below does not reach; none once bottom >= m
+        gen = extend_periodically(gen, min(bottom, m)) + tuple(range(bottom, m))
         # the other k-1 levels of this jump share the minimum m and sit over
         # lengths >= bottom + m > m, so their generator is unchanged
     return gen

@@ -18,7 +18,6 @@ def test_public_names():
         "SelftestReport",
         "Termination",
         "Word",
-        "build_partition",
         "canonicalize",
         "extend_periodically",
         "extremal_length",

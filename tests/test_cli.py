@@ -394,6 +394,18 @@ def _reference_output(ps, n, fmt, w):
     return json.dumps(doc) + "\n"
 
 
+def _word_or_refusal(values, n, fmt, engine):
+    """What `word` writes on stdout, or the ValueError it refuses with."""
+    args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._cmd_word(args)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "printed", out.getvalue()
+
+
 def test_word_streams_the_materialized_word(monkeypatch):
     # A 7-letter chunk sends short prefixes through the repeated-rendering
     # path with a partial tail, prefixes of 8..12 letters through the
@@ -407,23 +419,8 @@ def test_word_streams_the_materialized_word(monkeypatch):
         for engine, build in (("fast", fw_fast), ("oracle", fw_oracle)):
             w = build(ps, n)
             for fmt in ("ints", "dense", "json"):
-                args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    cli._cmd_word(args)
-                assert out.getvalue() == _reference_output(ps, n, fmt, w), (values, n, engine, fmt)
-
-
-def _word_or_refusal(values, n, fmt, engine):
-    """What `word` writes on stdout, or the ValueError it refuses with."""
-    args = argparse.Namespace(periods=",".join(map(str, values)), length=n, format=fmt, engine=engine)
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            cli._cmd_word(args)
-    except ValueError as exc:
-        return "refused", str(exc)
-    return "printed", out.getvalue()
+                expected = ("printed", _reference_output(ps, n, fmt, w))
+                assert _word_or_refusal(values, n, fmt, engine) == expected, (values, n, engine, fmt)
 
 
 def test_word_engines_agree_across_the_extremal_length(monkeypatch):
@@ -442,6 +439,36 @@ def test_word_engines_agree_across_the_extremal_length(monkeypatch):
             for fmt in ("ints", "dense", "json"):
                 fast = _word_or_refusal(values, n, fmt, "fast")
                 assert fast == _word_or_refusal(values, n, fmt, "oracle"), (values, n, fmt)
+
+
+def test_word_non_trivial_across_real_slices():
+    # {20000, 30001} has gcd 1 and L = 49,999, so below L the word streams a
+    # prefix of about 2.4 slices of the real STREAM_CHUNK: one copy written
+    # lazily (20,000), one copy and a tail (25,000), two copies and a
+    # 9,999-letter tail (L); past L it prints from the gcd residues.
+    values = (20000, 30001)
+    ps = PeriodSet(values)
+    assert (extremal_length(ps), cli.STREAM_CHUNK) == (49_999, 8192)
+    rng = random.Random(20000)
+    for n in (20_000, 25_000, 49_999, 50_000):
+        for fmt in ("ints", "dense", "json"):
+            kind, out = _word_or_refusal(values, n, fmt, "fast")
+            assert (kind, out) == _word_or_refusal(values, n, fmt, "oracle"), (n, fmt)
+            assert (kind == "refused") == (fmt == "dense" and n < 49_999), (n, fmt)
+            if kind == "refused":
+                continue
+            if fmt == "json":
+                doc = json.loads(out)
+                letters = doc["letters"]
+                if n >= 49_999:
+                    assert (doc["alphabet_size"], doc["trivial"]) == ((2, False) if n == 49_999 else (1, True))
+            elif fmt == "ints":
+                letters = list(map(int, out.split()))
+            else:
+                letters = [cli.DENSE_DIGITS.index(c) for c in out.rstrip("\n")]
+            assert len(letters) == n, (n, fmt)
+            for i in (0, 8191, 8192, n - 1, *rng.sample(range(n), 50)):
+                assert letters[i] == letter_at(ps, n, i), (n, fmt, i)
 
 
 def test_word_oracle_size_guard(capsys, monkeypatch):

@@ -1,11 +1,22 @@
 import pytest
 
-from fwwords import PeriodSet, build_partition, canonicalize, fw_fast, fw_oracle, grid_period_sets, has_period
+from fwwords import PeriodSet, canonicalize, fw_fast, fw_oracle, grid_period_sets, has_period
 from fwwords.errors import TooLargeForExhaustiveError
-from fwwords.oracle import class_count, max_alphabet_exhaustive
+from fwwords.oracle import max_alphabet_exhaustive, residue_labels
 from fwwords.words import alphabet
 
 W = (0, 1, 0, 3, 4, 0, 1, 0)
+
+
+def classes(word):
+    """The positions of each letter, ascending, ordered by first occurrence.
+
+    fw_oracle's letters are its class minima, so these are its classes.
+    """
+    by_letter = {}
+    for i, a in enumerate(word):
+        by_letter.setdefault(a, []).append(i)
+    return [tuple(positions) for positions in by_letter.values()]
 
 
 def two_clause_partition(periods, k):
@@ -55,7 +66,7 @@ def test_single_step_edges_match_two_clause_relation():
     # the residues x with x + p < k
     for ps in grid_period_sets(9, 4):
         for k in range(2 * max(ps) + 3):
-            assert build_partition(ps, k).reps == two_clause_partition(ps.periods, k), (ps, k)
+            assert fw_oracle(ps, k) == two_clause_partition(ps.periods, k), (ps, k)
 
 
 def test_two_clause_relation_confirms_gcd_3_extremal_word():
@@ -77,29 +88,27 @@ def test_fw_oracle_matches_fw_fast_at_a_million(periods):
 
 
 def test_partition_of_worked_example():
-    partition = build_partition(PeriodSet([5, 7]), 8)
-    assert partition.reps == W
-    assert partition.classes() == [(0, 2, 5, 7), (1, 6), (3,), (4,)]
+    word = fw_oracle(PeriodSet([5, 7]), 8)
+    assert word == W
+    assert classes(word) == [(0, 2, 5, 7), (1, 6), (3,), (4,)]
 
 
 def test_short_lengths_are_discrete():
-    partition = build_partition(PeriodSet([5, 7]), 3)
-    assert partition.classes() == [(0,), (1,), (2,)]
+    assert classes(fw_oracle(PeriodSet([5, 7]), 3)) == [(0,), (1,), (2,)]
 
 
 def test_single_period_chains():
-    partition = build_partition(PeriodSet([2]), 5)
-    assert partition.classes() == [(0, 2, 4), (1, 3)]
+    assert classes(fw_oracle(PeriodSet([2]), 5)) == [(0, 2, 4), (1, 3)]
 
 
 def test_empty_partition():
-    assert build_partition(PeriodSet([3]), 0).reps == ()
+    assert fw_oracle(PeriodSet([3]), 0) == ()
 
 
 def test_representative_invariants():
     for ps in grid_period_sets(6):
         for k in range(12):
-            reps = build_partition(ps, k).reps
+            reps = fw_oracle(ps, k)
             for i, r in enumerate(reps):
                 assert r <= i
                 assert reps[r] == r
@@ -121,13 +130,14 @@ def test_fw_oracle_has_all_periods_and_is_canonical():
 
 
 def test_class_count():
-    assert class_count(PeriodSet([5, 7]), 8) == 4
-    assert class_count(PeriodSet([2, 3]), 4) == 1
+    assert len(alphabet(fw_oracle(PeriodSet([5, 7]), 8))) == 4
+    assert len(alphabet(fw_oracle(PeriodSet([2, 3]), 4))) == 1
     for n in range(6):
-        assert class_count(PeriodSet([5, 7]), n) == n  # n <= min: all singletons
+        assert len(alphabet(fw_oracle(PeriodSet([5, 7]), n))) == n  # n <= min: all singletons
     for ps in grid_period_sets(5):
         for n in range(12):
-            assert class_count(ps, n) == len(alphabet(fw_oracle(ps, n)))
+            # the extension adds no class: the residue labels hold them all
+            assert len(set(residue_labels(ps, n))) == len(alphabet(fw_oracle(ps, n)))
 
 
 def test_max_alphabet_known_cases():
@@ -151,5 +161,5 @@ def test_max_alphabet_bound():
         max_alphabet_exhaustive(PeriodSet([10]), 10)
     assert max_alphabet_exhaustive(PeriodSet([2]), 10) == (2, (fw_oracle(PeriodSet([2]), 10),))
     count, witnesses = max_alphabet_exhaustive(PeriodSet([9, 10]), 10)
-    assert count == class_count(PeriodSet([9, 10]), 10)
+    assert count == len(alphabet(fw_oracle(PeriodSet([9, 10]), 10)))
     assert witnesses == (fw_oracle(PeriodSet([9, 10]), 10),)
