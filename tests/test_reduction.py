@@ -19,6 +19,7 @@ from fwwords import (
 )
 from fwwords import reduction
 from fwwords.reduction import (
+    _literal_levels,
     _reduce,
     batched_reduce,
     chain_jumps,
@@ -74,8 +75,8 @@ def test_reduction_chain_tie_prefers_length():
 
 
 def test_reduction_chain_invariants():
-    for ps in grid_period_sets(12):
-        for n in range(41):
+    for ps in grid_period_sets(9):
+        for n in (0, 5, 23, 40):
             chain = reduction_chain(ps, n)
             sets, lengths = zip(*chain.steps)
             assert lengths[0] == n and sets[0] == ps
@@ -83,9 +84,18 @@ def test_reduction_chain_invariants():
                 assert n1 == n0 - q0.min_period
                 assert q1 == reduce_periods(q0)
                 assert q1.gcd == q0.gcd
-            # only the last level meets a stop condition
-            assert all(n0 > q0.min_period > ps.gcd for q0, n0 in chain.steps[:-1])
-            assert lengths[-1] <= sets[-1].min_period or sets[-1].min_period == ps.gcd
+
+
+def test_literal_levels_are_the_reduction_chain():
+    # the private literal loop behind the twins: the same levels, and only its
+    # last one meets a stop condition
+    for ps in grid_period_sets(12):
+        for n in range(41):
+            levels = list(_literal_levels(ps, n))
+            assert [(PeriodSet(cur), length) for cur, length in levels] == list(reduction_chain(ps, n).steps)
+            *inner, (last, length) = levels
+            assert all(length > cur[0] > ps.gcd for cur, length in inner)
+            assert length <= last[0] or last[0] == ps.gcd
 
 
 def test_letter_at_unbatched_stops_at_the_gcd(monkeypatch):
