@@ -61,19 +61,15 @@ def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], st
 def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
-    # The word is the periodic extension of `prefix` to length n: the oracle's residue labels,
-    # or the fast engine's generating prefix. Past the extremal length (None: every length) the
-    # word has period gcd(P), so its residues mod gcd suffice, in O(gcd + one chunk) memory.
+    # The word is the periodic extension of `prefix` to length n: the oracle's residue labels or the fast
+    # engine's generating prefix, min(min P, n) letters either way, capped here. Past the extremal length
+    # (None: every length) the word has period gcd(P), so its residues mod gcd suffice, in O(gcd + one chunk).
+    check_prefix_size(ps, n)
     if args.engine == "oracle":
-        if n > ORACLE_MAX_LENGTH:
-            raise ValueError(
-                f"the oracle engine builds at most {ORACLE_MAX_LENGTH} positions; use --engine fast for longer words"
-            )
         from .oracle import residue_labels
 
         prefix = residue_labels(ps, n)
     elif n > (extremal_length(ps) or -1):
-        check_prefix_size(ps, n)
         prefix = tuple(range(min(ps.gcd, n)))
     else:
         prefix = generating_prefix(ps, n)

@@ -13,7 +13,7 @@ from .errors import EmptyGeneratorError, InvalidPeriodError, OutOfRangeError
 from .periods import PeriodSet
 
 Word = tuple[int, ...]
-# most letters either engine materializes: the oracle's whole word, the fast engine's generating prefix
+# most letters of either engine's generator (residue labels, generating prefix), and of a word `bench` builds
 ORACLE_MAX_LENGTH = 10**7
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from fwwords import cli, selftest
+from fwwords import cli, reduction, selftest
 from fwwords.cli import main, render_chain
 from fwwords import PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
 from fwwords.words import ORACLE_MAX_LENGTH
@@ -209,19 +209,22 @@ def test_chain_streams_the_literal_chain_on_larger_sets(capsys, monkeypatch):
     assert terminations == set(Termination)
 
 
+def _selftest_lines(*counts):
+    """The report of a passing grid with these counts per family, in FAMILIES order."""
+    return [*(f"{name}: {count}" for name, count in zip(selftest.FAMILIES, counts)), f"total-checks: {sum(counts)}"]
+
+
 def test_selftest_small_grid(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--max-period", "7", "--max-n", "8")
-    assert code == 0
-    assert "all checks passed" in out
     # the worked example P={5,7}, n=8 is inside this grid
-    total = int(next(line for line in out.splitlines() if line.startswith("total-checks:")).split()[1])
-    assert total > 0
+    code, out, err = run_cli(capsys, "selftest", "--max-period", "7", "--max-n", "8")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [*_selftest_lines(567, 2268, 567, 350, 31, 31), "all checks passed"]
 
 
 def test_selftest_degenerate_grid(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--max-period", "1", "--max-n", "5")
-    assert code == 0
-    assert "all checks passed" in out
+    code, out, err = run_cli(capsys, "selftest", "--max-period", "1", "--max-n", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [*_selftest_lines(6, 15, 6, 4, 0, 0), "all checks passed"]
 
 
 def test_selftest_reports_an_engine_that_raises(capsys, monkeypatch):
@@ -233,6 +236,24 @@ def test_selftest_reports_an_engine_that_raises(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[-1] == "FAIL: prefix-property raised IndexError: tuple index out of range for periods={1}"
     assert "Traceback" not in out + err
+
+
+def test_selftest_reports_a_wrong_letter(capsys, monkeypatch):
+    # A wrong answer, not an exception: the run stops at the first mismatch,
+    # reports the counts so far and exits 1.
+    monkeypatch.setattr(selftest, "letter_at", lambda ps, n, i: letter_at(ps, n, i) + 1)
+    code, out, err = run_cli(capsys, "selftest", "--max-period", "2", "--max-n", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        *_selftest_lines(4, 0, 0, 0, 0, 0), "FAIL: letter_at mismatch for periods={1} n=1 position=0"
+    ]
+    # the literal twin's walk, wrong at position 1 only
+    monkeypatch.undo()
+    literal = selftest._literal_letter
+    monkeypatch.setattr(selftest, "_literal_letter", lambda levels, i: literal(levels, i) + (i == 1))
+    code, out, err = run_cli(capsys, "selftest", "--max-period", "3", "--max-n", "4")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "FAIL: letter_at_unbatched mismatch for periods={1} n=2 position=1"
 
 
 @pytest.mark.parametrize("max_period,max_n", [("0", "-1"), ("3", "-5"), ("0", "5")])
@@ -269,12 +290,17 @@ def test_selftest_work_counts_the_literal_levels(capsys, max_period, max_n):
         *(["word", "--periods", "10000000000", "--format", fmt] for fmt in ("ints", "dense", "json")),
         ["bench", "--periods", "10000000000,10000000001"],
         *(["word", "--periods", "10000000000,10000000001", "--format", fmt] for fmt in ("ints", "dense", "json")),
+        *(
+            ["word", "--engine", "oracle", "--periods", "10000000000,10000000001", "--format", fmt]
+            for fmt in ("ints", "dense", "json")
+        ),
     ],
 )
 def test_generating_prefix_above_the_limit_exit_2(capsys, argv):
     # min(min P, length) = 10**10 letters: refused before the prefix is built,
     # also for {10**10, 10**10 + 1}, whose 10**11-letter word (gcd 1, extremal
-    # length about 2*10**10) is trivial
+    # length about 2*10**10) is trivial, and on the oracle, whose residue labels
+    # are as long
     code, out, err = run_cli(capsys, *argv, "--length", "100000000000")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err
@@ -329,6 +355,8 @@ def test_bench_zero_length(capsys):
     code, out, _ = run_cli(capsys, "bench", "--periods", "5,7", "--length", "0", "--repetitions", "1")
     assert code == 0
     assert "letter_at skipped (empty word)" in out
+    code, out, err = run_cli(capsys, "bench", "--periods", "5,7", "--length", "0", "--repetitions", "0")
+    assert (code, out, err) == (2, "", "error: repetitions must be >= 1, got 0\n")
 
 
 def test_deterministic_output(capsys):
@@ -365,16 +393,21 @@ def _loaded_modules(code, *argv):
             ["word", "--engine", "fast", "--periods", "5,7", "--length", "8", "--format", fmt]
             for fmt in ("ints", "dense", "json")
         ),
+        *(
+            ["word", "--engine", "oracle", "--periods", "5,7", "--length", "8", "--format", fmt]
+            for fmt in ("ints", "json")
+        ),
     ],
-    ids=["at", "extremal", "chain", "word-ints", "word-dense", "word-json"],
+    ids=["at", "extremal", "chain", "word-ints", "word-dense", "word-json", "word-oracle-ints", "word-oracle-json"],
 )
 def test_query_commands_import_only_what_they_run(argv):
     # Measured against a bare interpreter, so modules that site preloads do not count.
     added = _loaded_modules("from fwwords import cli\ncli.main(sys.argv[1:])", *argv) - _loaded_modules("")
+    oracle = {"fwwords.oracle"} if "oracle" in argv else set()
     assert {m for m in added if m.startswith("fwwords")} == {
-        "fwwords", "fwwords.cli", "fwwords.errors", "fwwords.periods", "fwwords.reduction", "fwwords.words"
+        "fwwords", "fwwords.cli", "fwwords.errors", "fwwords.periods", "fwwords.reduction", "fwwords.words", *oracle
     }
-    assert not added & {"fwwords.bench", "fwwords.selftest", "fwwords.oracle", "dataclasses", "statistics"}
+    assert not added & ({"fwwords.bench", "fwwords.selftest", "fwwords.oracle", "dataclasses", "statistics"} - oracle)
     assert ("json" in added) == (argv[-1] == "json")
 
 
@@ -471,16 +504,20 @@ def test_word_non_trivial_across_real_slices():
                 assert letters[i] == letter_at(ps, n, i), (n, fmt, i)
 
 
-def test_word_oracle_size_guard(capsys, monkeypatch):
-    too_long = str(cli.ORACLE_MAX_LENGTH + 1)
-    code, out, err = run_cli(capsys, "word", "--periods", "5,7", "--length", too_long, "--engine", "oracle")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1
-    assert str(cli.ORACLE_MAX_LENGTH) in err and "--engine fast" in err
-    monkeypatch.setattr(cli, "ORACLE_MAX_LENGTH", 10)
-    fast = run_cli(capsys, "word", "--periods", "5,7", "--length", "10")
-    assert run_cli(capsys, "word", "--periods", "5,7", "--length", "10", "--engine", "oracle") == fast
-    assert run_cli(capsys, "word", "--periods", "5,7", "--length", "11", "--engine", "oracle")[0] == 2
+def test_word_engines_share_one_size_rule(capsys, monkeypatch):
+    # `word` caps the generator, min(min P, n) letters, not the word: with the
+    # cap at 10, both engines print {5,7} at lengths past it and refuse
+    # {20,30} at 11 with the same line.
+    monkeypatch.setattr(reduction, "ORACLE_MAX_LENGTH", 10)
+    codes = []
+    for periods, n in (("5,7", "11"), ("5,7", "1000"), ("20,30", "11")):
+        for fmt in ("ints", "dense", "json"):
+            argv = ["word", "--periods", periods, "--length", n, "--format", fmt]
+            fast = run_cli(capsys, *argv, "--engine", "fast")
+            assert run_cli(capsys, *argv, "--engine", "oracle") == fast, argv
+            codes.append(fast[0])
+    assert codes == [0] * 6 + [2] * 3
+    assert fast[2] == "error: the generating prefix has 11 letters, more than the 10 any engine builds\n"
 
 
 def _read_head_then_close(argv, size):
@@ -536,8 +573,8 @@ def test_trivial_word_streams_in_bounded_memory():
 
 def test_word_oracle_streams_in_bounded_memory():
     # The oracle writes the periodic extension of its 412,000 residue labels;
-    # the whole 10**7-letter word would take about 80 MB as a tuple.
-    ps, n = PeriodSet([412000, 600001]), 10**7
+    # the 10**11-letter word could never be materialized.
+    ps, n = PeriodSet([412000, 600001]), 10**11
     argv = ["word", "--engine", "oracle", "--periods", "412000,600001", "--length", str(n), "--format", "ints"]
     head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
     letters = head.decode().split(" ")[:-1]  # the last letter may be cut

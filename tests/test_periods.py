@@ -54,6 +54,7 @@ def test_non_integers_rejected():
 def test_equality_and_hashing():
     assert PeriodSet([5, 7]) == PeriodSet((7, 5))
     assert PeriodSet([5, 7]) != PeriodSet([5, 8])
+    assert PeriodSet([1]) != (1,)  # NotImplemented from both sides: unequal by identity
     assert len({PeriodSet([5, 7]), PeriodSet([7, 5]), PeriodSet([2])}) == 2
 
 

@@ -67,6 +67,9 @@ def test_reduction_chain_stops_immediately():
     assert chain.steps == ((PeriodSet([5, 7]), 4),)
     assert chain.termination is Termination.LENGTH_AT_MOST_MIN
 
+    with pytest.raises(OutOfRangeError, match="length must be >= 0"):
+        reduction_chain(PeriodSet([5, 7]), -1)
+
 
 def test_reduction_chain_tie_prefers_length():
     # both stop conditions hold at once: n <= min and min == gcd
