@@ -15,7 +15,7 @@ from itertools import starmap
 
 from .periods import PeriodSet
 from .reduction import ReductionChain, chain_jumps, check_prefix_size, extremal_length, generating_prefix, letter_at
-from .words import ORACLE_MAX_LENGTH, extend_periodically, is_trivial
+from .words import extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
 # in their handlers, so a query process never loads it.
@@ -158,7 +158,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import run_bench
 
     ps = _parse_periods(args.periods)
-    rows = run_bench(ps, args.length, args.repetitions, args.oracle_guard)
+    rows = run_bench(ps, args.length, args.repetitions)
     if args.format == "json":
         import json
 
@@ -208,12 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", required=True, type=int)
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--oracle-guard",
-        type=int,
-        default=ORACLE_MAX_LENGTH,
-        help=f"skip the oracle build above this many positions (at most {ORACLE_MAX_LENGTH})",
-    )
 
     return parser
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import OutOfRangeError
 from .periods import PeriodSet
-from .words import ORACLE_MAX_LENGTH, Word, extend_periodically
+from .words import Word, extend_periodically
 
 
 class Termination(enum.Enum):
@@ -160,8 +160,13 @@ def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], i
         yield (m,) if second is None else (m, second, *[t - off for t in tail]), length, k or 1, end
 
 
+# most letters of either engine's generator (residue labels, generating prefix) in `word` and `bench`
+ORACLE_MAX_LENGTH = 10**7
+
+
 def check_prefix_size(periods: PeriodSet, n: int) -> None:
-    """OutOfRangeError when the generating prefix, min(min_period, n) letters, is longer than ORACLE_MAX_LENGTH."""
+    """OutOfRangeError when either engine's generator, min(min_period, n) letters, is longer
+    than ORACLE_MAX_LENGTH; `word` and `bench` call it before building one."""
     if (size := min(periods.min_period, n)) > ORACLE_MAX_LENGTH:
         raise OutOfRangeError(
             f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"

@@ -13,8 +13,6 @@ from .errors import EmptyGeneratorError, InvalidPeriodError, OutOfRangeError
 from .periods import PeriodSet
 
 Word = tuple[int, ...]
-# most letters of either engine's generator (residue labels, generating prefix), and of a word `bench` builds
-ORACLE_MAX_LENGTH = 10**7
 
 
 def pref(w: Word, k: int) -> Word:

@@ -165,8 +165,8 @@ def test_c9_performance_budgets(capsys):
         "--repetitions", "5", "--format", "json",
     ]) == 0
     rows = {row["engine"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
-    assert rows["oracle_word"]["skipped"] == "guard"
-    assert rows["fast_word"]["median_ns"] is not None  # fast leg still reports timing
+    # both engines' generators are timed, as `word` answers this length on either
+    assert rows["fast_word"]["median_ns"] is not None and rows["oracle_word"]["median_ns"] is not None
     assert rows["letter_at"]["median_ns"] < 10_000_000, rows["letter_at"]
 
     big = PeriodSet([3, 10**9 + 7])
@@ -178,11 +178,14 @@ def test_c9_performance_budgets(capsys):
     assert value == 3 + 10**9 + 7 - 1 - 1  # two-period law at scale
     assert min(samples) < 0.010, f"extremal_length took {min(samples) * 1e3:.2f} ms"
 
-    assert main([
-        "bench", "--periods", "5,7", "--length", str(10**6),
-        "--repetitions", "3", "--format", "json",
-    ]) == 0
-    rows = {row["engine"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
-    assert rows["fast_word"]["median_ns"] < 100_000_000, rows["fast_word"]
-    assert rows["oracle_word"]["median_ns"] is not None  # both engines complete at 1e6
+    # the whole 1e6 build, timed in process: `bench` times only the engines' generators
+    small = PeriodSet([5, 7])
+    samples = []
+    for _ in range(3):
+        start = time.perf_counter()
+        word = fw_fast(small, 10**6)
+        samples.append(time.perf_counter() - start)
+    median = sorted(samples)[1]
+    assert median < 0.100, f"fw_fast at 1e6 took {median * 1e3:.2f} ms"
+    assert fw_oracle(small, 10**6) == word  # both engines complete at 1e6
     report("C9 performance budgets (letter query < 10 ms, extremal < 10 ms, 1e6 build < 100 ms)")

@@ -16,8 +16,7 @@ import pytest
 from fwwords import cli, reduction, selftest
 from fwwords.cli import main, render_chain
 from fwwords import PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
-from fwwords.words import ORACLE_MAX_LENGTH
-from fwwords.reduction import reduction_chain
+from fwwords.reduction import ORACLE_MAX_LENGTH, reduction_chain
 from fwwords.words import alphabet
 from fwwords.selftest import MAX_GRID_WORK, grid_period_sets
 
@@ -256,6 +255,56 @@ def test_selftest_reports_a_wrong_letter(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL: letter_at_unbatched mismatch for periods={1} n=2 position=1"
 
 
+@pytest.mark.parametrize(
+    "family,patches,periods,message",
+    [
+        (
+            "word-equivalence", {"fw_fast": lambda ps, n: fw_oracle(ps, n)[::-1]}, (5, 7),
+            "fw_fast != fw_oracle for periods={5,7} n=2",
+        ),
+        (
+            "prefix-property", {"reduce_periods": lambda ps: ps}, (5, 7),
+            "reduced-set word is not a prefix for periods={5,7} n=3",
+        ),
+        (
+            "singleton-letters", {"fw_oracle": lambda ps, n: (0,) * n}, (5, 7),
+            "expected a unique fresh letter for periods={5,7} n=6 position=1",
+        ),
+        (
+            "extremal-boundary", {"extremal_length_unbatched": lambda ps: -1}, (5, 7),
+            "jumped and literal extremal lengths differ for periods={5,7}",
+        ),
+        (  # L({5,7}) = 10, so L + 1 names a trivial word
+            "extremal-boundary", dict.fromkeys(("extremal_length", "extremal_length_unbatched"), lambda ps: 11),
+            (5, 7), "extremal word is trivial for periods={5,7}",
+        ),
+        (
+            "extremal-boundary", dict.fromkeys(("extremal_length", "extremal_length_unbatched"), lambda ps: 9),
+            (5, 7), "non-trivial word past the extremal length for periods={5,7} n=10",
+        ),
+        (
+            "palindromes", {"canonicalize": lambda letters: ()}, (5, 7),
+            "reversed extremal word is not a renaming for periods={5,7}",
+        ),
+        (
+            "palindromes", {"is_palindrome": lambda w: False}, (5, 7),
+            "extremal word is not a palindrome for periods={5,7}",
+        ),
+        (
+            "palindromes", {"fw_fast": lambda ps, n: (0,) * n}, (6, 9),
+            "extremal word has equal end letters despite gcd >= 3 for periods={6,9}",
+        ),
+    ],
+)
+def test_selftest_families_name_their_counterexample(monkeypatch, family, patches, periods, message):
+    # each family's own failure message, from one wrong answer patched into selftest
+    for name, wrong in patches.items():
+        monkeypatch.setattr(selftest, name, wrong)
+    with pytest.raises(selftest._Failure) as failure:
+        selftest.FAMILIES[family](PeriodSet(periods), 8)
+    assert str(failure.value) == message
+
+
 @pytest.mark.parametrize("max_period,max_n", [("0", "-1"), ("3", "-5"), ("0", "5")])
 def test_selftest_empty_grid_exit_2(capsys, max_period, max_n):
     code, out, err = run_cli(capsys, "selftest", "--max-period", max_period, "--max-n", max_n)
@@ -329,26 +378,16 @@ def test_bench_json_fields(capsys):
         assert row["runs"] == 2
 
 
-def test_bench_oracle_guard(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--periods", "5,7", "--length", "10000", "--repetitions", "1",
-        "--oracle-guard", "100",
-    )
+def test_bench_times_both_generators_past_the_word_cap(capsys):
+    # the cap bounds the generator, min(min P, n) letters, not the word: both
+    # engines are timed at a length past it, and there is no guard to set
+    argv = ["bench", "--periods", "5,7", "--length", str(ORACLE_MAX_LENGTH + 1), "--repetitions", "1"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert "oracle_word skipped (guard)" in out
-
-
-def test_bench_guard_is_the_oracle_limit(capsys):
-    too_long = str(ORACLE_MAX_LENGTH + 1)
-    code, out, _ = run_cli(capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1")
-    assert code == 0
-    assert "oracle_word skipped (guard)" in out and "fast_word median_ns=" in out
-    for guard in (too_long, "-5"):
-        code, out, err = run_cli(
-            capsys, "bench", "--periods", "5,7", "--length", too_long, "--repetitions", "1", "--oracle-guard", guard
-        )
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and str(ORACLE_MAX_LENGTH) in err and guard in err
+    assert [line.split()[0] for line in out.splitlines()] == ["fast_word", "oracle_word", "letter_at"]
+    assert out.count("median_ns=") == 3 and "skipped" not in out
+    code, out, err = run_cli(capsys, *argv, "--oracle-guard", "5")
+    assert (code, out) == (2, "") and "--oracle-guard" in err
 
 
 def test_bench_zero_length(capsys):
@@ -507,7 +546,7 @@ def test_word_non_trivial_across_real_slices():
 def test_word_engines_share_one_size_rule(capsys, monkeypatch):
     # `word` caps the generator, min(min P, n) letters, not the word: with the
     # cap at 10, both engines print {5,7} at lengths past it and refuse
-    # {20,30} at 11 with the same line.
+    # {20,30} at 11 with the same line, as `bench` does.
     monkeypatch.setattr(reduction, "ORACLE_MAX_LENGTH", 10)
     codes = []
     for periods, n in (("5,7", "11"), ("5,7", "1000"), ("20,30", "11")):
@@ -517,7 +556,11 @@ def test_word_engines_share_one_size_rule(capsys, monkeypatch):
             assert run_cli(capsys, *argv, "--engine", "oracle") == fast, argv
             codes.append(fast[0])
     assert codes == [0] * 6 + [2] * 3
-    assert fast[2] == "error: the generating prefix has 11 letters, more than the 10 any engine builds\n"
+    refusal = "error: the generating prefix has 11 letters, more than the 10 any engine builds\n"
+    assert fast[2] == refusal
+    # `bench` times the same generators under the same rule
+    assert run_cli(capsys, "bench", "--periods", "20,30", "--length", "11", "--repetitions", "1") == (2, "", refusal)
+    assert run_cli(capsys, "bench", "--periods", "5,7", "--length", "1000", "--repetitions", "1")[0] == 0
 
 
 def _read_head_then_close(argv, size):
