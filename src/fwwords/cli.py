@@ -11,10 +11,10 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterator
-from itertools import starmap
+from itertools import chain
 
 from .periods import PeriodSet
-from .reduction import ReductionChain, chain_jumps, check_prefix_size, extremal_length, generating_prefix, letter_at
+from .reduction import chain_jumps, check_prefix_size, extremal_length, generating_prefix, letter_at
 from .words import extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
@@ -26,13 +26,6 @@ STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of a two-
 
 def _parse_periods(text: str) -> PeriodSet:
     return PeriodSet(int(part) for part in text.split(","))
-
-
-def render_chain(chain: ReductionChain) -> str:
-    """One line per step, `Qi={...} ni=<len>`, then the termination tag."""
-    lines = [f"Q{idx}={{{','.join(map(str, ps))}}} n{idx}={length}" for idx, (ps, length) in enumerate(chain.steps)]
-    lines.append(chain.termination.value)
-    return "\n".join(lines)
 
 
 def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], str], sep: str) -> Iterator[str]:
@@ -125,20 +118,23 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    # render_chain(reduction_chain(...)), formatted per run of steps that share a minimum
+    # reduction_chain(...), one line per literal step, formatted per run of steps that share a minimum
     write = sys.stdout.write
     idx = 0
     for periods, length, k, end in chain_jumps(_parse_periods(args.periods), args.length):
-        # step s < k is line.format(idx + s, length - s*m, *(p - s*m for p in rest)),
-        # with line "Q{0}={{5,{2}}} n{0}={1}\n" for periods (5, p)
+        # step s < k is line % (idx + s, *(p - s*m for p in rest), idx + s, length - s*m),
+        # with line "Q%d={5,%d} n%d=%d\n" for periods (5, p)
         m, rest = periods[0], periods[1:]
-        line = "Q{0}={{" + ",".join([str(m), *(f"{{{j}}}" for j in range(2, len(periods) + 1))]) + "}} n{0}={1}\n"
-        # a line grows with the periods it holds, so a write holds fewer of them
+        line = "Q%d={" + ",".join([str(m), *["%d"] * len(rest)]) + "} n%d=%d\n"
+        # a line grows with the periods it holds, so a write holds fewer of them;
+        # a write's rows are one % on the line repeated once per row
         chunk = max(1, 2 * STREAM_CHUNK // len(periods))
         for a in range(0, k, chunk):
             b = min(a + chunk, k)
-            columns = [range(idx + a, idx + b), *(range(p - a * m, p - b * m, -m) for p in (length, *rest))]
-            write("".join(starmap(line.format, zip(*columns))))
+            steps = range(idx + a, idx + b)
+            columns = [range(p - a * m, p - b * m, -m) for p in rest]
+            lengths = range(length - a * m, length - b * m, -m)
+            write((line * (b - a)) % tuple(chain.from_iterable(zip(steps, *columns, steps, lengths))))
         idx += k
     write(f"{end.value}\n")
     return 0

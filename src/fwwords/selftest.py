@@ -1,12 +1,14 @@
 """Exhaustive cross-validation of the fast engine against the oracle.
 
-Each check family is defined once, in FAMILIES. Everything here is pure and
-deterministic; the CLI `selftest` command is a thin wrapper around
+Each check family is defined once, in FAMILIES; all are deterministic and
+read their words through one memo, keyed by engine and bounded, so a run
+builds each word once. The CLI `selftest` command is a thin wrapper around
 `run_selftest`, and the acceptance tests run the same families.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from itertools import combinations
@@ -43,10 +45,15 @@ class _Failure(Exception):
     pass
 
 
+# The word engine(ps, n), built once while it stays among the last 1,024 asked for. The key holds the
+# engine itself, read from this module at each call, so an engine patched in never reads another's words.
+_word = functools.lru_cache(maxsize=1024)(lambda engine, ps, n: engine(ps, n))
+
+
 def _word_equivalence(ps: PeriodSet, max_n: int) -> int:
     """fw_fast against fw_oracle at every length."""
     for n in range(max_n + 1):
-        if fw_fast(ps, n) != fw_oracle(ps, n):
+        if _word(fw_fast, ps, n) != _word(fw_oracle, ps, n):
             raise _Failure(f"fw_fast != fw_oracle for periods={ps} n={n}")
     return max_n + 1
 
@@ -55,7 +62,7 @@ def _letter_queries(ps: PeriodSet, max_n: int) -> int:
     """letter_at and its literal twin, one literal chain per word, against every letter."""
     for n in range(max_n + 1):
         levels = list(_literal_levels(ps, n))
-        for i, letter in enumerate(fw_fast(ps, n)):
+        for i, letter in enumerate(_word(fw_fast, ps, n)):
             if letter_at(ps, n, i) != letter:
                 raise _Failure(f"letter_at mismatch for periods={ps} n={n} position={i}")
             if _literal_letter(levels, i) != letter:
@@ -68,7 +75,7 @@ def _prefix_property(ps: PeriodSet, max_n: int) -> int:
     m = ps.min_period
     reduced = reduce_periods(ps)
     for n in range(max_n + 1):
-        if fw_oracle(reduced, n) != pref(fw_oracle(ps, n + m), n):
+        if _word(fw_oracle, reduced, n) != pref(_word(fw_oracle, ps, n + m), n):
             raise _Failure(f"reduced-set word is not a prefix for periods={ps} n={n}")
     return max_n + 1
 
@@ -77,7 +84,7 @@ def _singleton_letters(ps: PeriodSet, max_n: int) -> int:
     """Positions n-m..m-1 of a word of length n > m carry fresh letters, each once."""
     m = ps.min_period
     for n in range(m + 1, max_n + 1):
-        word = fw_oracle(ps, n)
+        word = _word(fw_oracle, ps, n)
         for i in range(max(0, n - m), m):
             if word[i] != i or word.count(i) != 1:
                 raise _Failure(f"expected a unique fresh letter for periods={ps} n={n} position={i}")
@@ -93,10 +100,10 @@ def _extremal_boundary(ps: PeriodSet, max_n: int) -> int:
     extremal = extremal_length(ps)
     if extremal != extremal_length_unbatched(ps):
         raise _Failure(f"jumped and literal extremal lengths differ for periods={ps}")
-    if is_trivial(fw_fast(ps, extremal), ps):
+    if is_trivial(_word(fw_fast, ps, extremal), ps):
         raise _Failure(f"extremal word is trivial for periods={ps}")
     for extra in range(1, 2 * m + 1):
-        if not is_trivial(fw_fast(ps, extremal + extra), ps):
+        if not is_trivial(_word(fw_fast, ps, extremal + extra), ps):
             raise _Failure(f"non-trivial word past the extremal length for periods={ps} n={extremal + extra}")
     return 1
 
@@ -111,7 +118,7 @@ def _palindromes(ps: PeriodSet, max_n: int) -> int:
     # renames. For gcd >= 3 reversal moves residue 0 mod gcd to residue gcd-2,
     # so the end letters differ and no relabeling is a palindrome, e.g.
     # FW({6,9}, 11) = 01201501201.
-    word = fw_fast(ps, extremal_length(ps))
+    word = _word(fw_fast, ps, extremal_length(ps))
     if canonicalize(reversed(word)) != word:
         raise _Failure(f"reversed extremal word is not a renaming for periods={ps}")
     if ps.gcd <= 2 and not is_palindrome(word):
@@ -159,7 +166,8 @@ class SelftestReport:
 def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_N) -> SelftestReport:
     """Run every family of FAMILIES on every period set over {1..max_period}
     (at most three elements) and every length up to max_n; stop at the first
-    mismatch, or at the first exception a family raises.
+    mismatch, or at the first exception a family raises. The word memo starts
+    empty, so a run reads no word that an earlier run built.
 
     An empty grid (max_period < 1 or max_n < 0) raises OutOfRangeError, as
     does one whose work exceeds MAX_GRID_WORK, counted before anything is
@@ -178,6 +186,7 @@ def run_selftest(max_period: int = DEFAULT_MAX_PERIOD, max_n: int = DEFAULT_MAX_
             work += levels * sum(math.comb(max_period - m, size) for size in range(GRID_MAX_SET_SIZE))
     if work > MAX_GRID_WORK:
         raise OutOfRangeError(f"the grid's work {work} exceeds {MAX_GRID_WORK}; lower max_period or max_n")
+    _word.cache_clear()
     report = SelftestReport(counts=dict.fromkeys(FAMILIES, 0))
     try:
         for ps in grid_period_sets(max_period):

@@ -32,7 +32,7 @@ from fwwords import (
     grid_period_sets,
     is_trivial,
 )
-from fwwords.cli import main, render_chain
+from fwwords.cli import main
 from fwwords.oracle import max_alphabet_exhaustive
 from fwwords.reduction import chain_jumps, reduction_chain
 from fwwords.selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, FAMILIES
@@ -50,7 +50,7 @@ def report(criterion: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS")
 
 
-def test_c1_worked_example_bit_exact(capsys):
+def test_c1_worked_example_bit_exact(capsys, render_chain):
     ps = PeriodSet([5, 7])
     expected = (0, 1, 0, 3, 4, 0, 1, 0)
 

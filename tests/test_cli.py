@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import functools
 import io
@@ -14,9 +15,9 @@ from itertools import combinations
 import pytest
 
 from fwwords import cli, reduction, selftest
-from fwwords.cli import main, render_chain
+from fwwords.cli import main
 from fwwords import PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
-from fwwords.reduction import ORACLE_MAX_LENGTH, reduction_chain
+from fwwords.reduction import ORACLE_MAX_LENGTH, chain_jumps, reduction_chain
 from fwwords.words import alphabet
 from fwwords.selftest import MAX_GRID_WORK, grid_period_sets
 
@@ -165,13 +166,13 @@ def test_chain_single_step_cases(capsys):
     assert (code, out) == (0, "Q0={5,7} n0=4\nLengthAtMostMin\n")
 
 
-def test_render_chain_matches_cli(capsys):
+def test_render_chain_matches_cli(capsys, render_chain):
     text = render_chain(reduction_chain(PeriodSet([5, 7]), 8))
     _, out, _ = run_cli(capsys, "chain", "--periods", "5,7", "--length", "8")
     assert out == text + "\n"
 
 
-def test_chain_streams_the_literal_chain(capsys, monkeypatch):
+def test_chain_streams_the_literal_chain(capsys, monkeypatch, render_chain):
     # `chain` writes from the jump descent; the literal chain is the reference.
     # {3,9,12}, {2,8,10} and {5,25,30} merge two elements at the end of a
     # multi-step jump; {2,4} at 2 is the tie that the length condition wins.
@@ -192,7 +193,7 @@ def test_chain_streams_the_literal_chain(capsys, monkeypatch):
     assert "length must be >= 0" in err
 
 
-def test_chain_streams_the_literal_chain_on_larger_sets(capsys, monkeypatch):
+def test_chain_streams_the_literal_chain_on_larger_sets(capsys, monkeypatch, render_chain):
     # 4-8 periods, so that jumps carry the periods past the second one in the
     # descent's offset list: minima change, merge and go back into the list
     monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
@@ -206,6 +207,59 @@ def test_chain_streams_the_literal_chain_on_larger_sets(capsys, monkeypatch):
             terminations.add(chain.termination)
             assert run_cli(capsys, "chain", "--periods", periods, "--length", str(n)) == (0, render_chain(chain) + "\n", "")
     assert terminations == set(Termination)
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts the lines each write holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        self.rows.append(text.count("\n"))
+        return super().write(text)
+
+
+def _chain_writes(monkeypatch, values, n):
+    """`chain`'s output for the periods values at length n, and the lines per write."""
+    out = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        assert main(["chain", "--periods", ",".join(map(str, values)), "--length", str(n)]) == 0
+    return out.getvalue(), out.rows
+
+
+def test_chain_writes_cross_their_boundaries(monkeypatch, render_chain):
+    # With 7 lines per write for two periods and 2 * 7 // |P| for more, runs
+    # span many writes; each write is formatted on its own, from its first step.
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
+    rng = random.Random(24)
+    cases = [((5, 1001), 1000), ((4, 9, 10, 23), 500), ((1000, 1000007), 100000)]
+    for size in range(1, 9):
+        for _ in range(12):
+            values = rng.sample(range(1, 80), size)
+            cases.append((values, rng.randrange(4 * sum(values))))
+    for values, n in cases:
+        text, rows = _chain_writes(monkeypatch, values, n)
+        assert text == render_chain(reduction_chain(PeriodSet(values), n)) + "\n"
+        expected = []
+        for periods, _, k, _ in chain_jumps(PeriodSet(values), n):
+            per_write = max(1, 14 // len(periods))
+            expected += [per_write] * (k // per_write) + [k % per_write] * (k % per_write > 0)
+        assert rows == [*expected, 1]
+    # {5,1001} at 1000 is one run of 199 steps in 29 writes, then its last step
+    _, rows = _chain_writes(monkeypatch, (5, 1001), 1000)
+    assert rows == [7] * 28 + [3, 1, 1]
+    # At the real chunk size: 8,192 lines per write for two periods and
+    # 2 * 8,192 // |P| for more, from one run of 30,000 steps and one of 20,000
+    monkeypatch.undo()
+    assert cli.STREAM_CHUNK == 8192
+    _, rows = _chain_writes(monkeypatch, (1000, 10**9 + 7), 1000 * 30001)
+    assert rows == [8192, 8192, 8192, 5424, 1, 1]
+    _, rows = _chain_writes(monkeypatch, (1000, 10**9 + 7, 10**9 + 14, 10**9 + 21), 1000 * 20001)
+    assert rows == [4096, 4096, 4096, 4096, 3616, 1, 1]
 
 
 def _selftest_lines(*counts):
@@ -303,6 +357,38 @@ def test_selftest_families_name_their_counterexample(monkeypatch, family, patche
     with pytest.raises(selftest._Failure) as failure:
         selftest.FAMILIES[family](PeriodSet(periods), 8)
     assert str(failure.value) == message
+
+
+def test_selftest_builds_each_word_once(monkeypatch):
+    # the families read every word through one memo, so a run calls each
+    # engine once per (period set, length) it asks for
+    calls = {}
+    for name in ("fw_fast", "fw_oracle"):
+        engine, counts = getattr(selftest, name), collections.Counter()
+
+        def counted(ps, n, engine=engine, counts=counts):
+            counts[ps, n] += 1
+            return engine(ps, n)
+
+        calls[name] = counts
+        monkeypatch.setattr(selftest, name, counted)
+    report = selftest.run_selftest(5, 8)
+    assert report.ok and report.total_checks == 1518
+    assert {name: (len(counts), sum(counts.values())) for name, counts in calls.items()} == {
+        "fw_fast": (244, 244), "fw_oracle": (275, 275)
+    }
+
+
+def test_selftest_memo_serves_no_stale_word(monkeypatch):
+    # A passing run fills the memo with both engines' words. A wrong engine
+    # patched in afterwards is still caught, by a run and by a family alone.
+    assert selftest.run_selftest(5, 8).ok
+    monkeypatch.setattr(selftest, "fw_oracle", lambda ps, n: fw_oracle(ps, n)[::-1])
+    with pytest.raises(selftest._Failure) as failure:
+        selftest.FAMILIES["word-equivalence"](PeriodSet([3, 5]), 8)
+    assert str(failure.value) == "fw_fast != fw_oracle for periods={3,5} n=2"
+    report = selftest.run_selftest(5, 8)
+    assert report.lines()[-1] == "FAIL: fw_fast != fw_oracle for periods={2} n=2"
 
 
 @pytest.mark.parametrize("max_period,max_n", [("0", "-1"), ("3", "-5"), ("0", "5")])
