@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from itertools import chain
 
 from .periods import PeriodSet
-from .reduction import chain_jumps, check_prefix_size, extremal_length, generating_prefix, letter_at
+from .reduction import _generator, chain_jumps, check_prefix_size, extremal_length, letter_at
 from .words import extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
@@ -54,18 +54,15 @@ def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], st
 def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
-    # The word is the periodic extension of `prefix` to length n: the oracle's residue labels or the fast
-    # engine's generating prefix, min(min P, n) letters either way, capped here. Past the extremal length
-    # (None: every length) the word has period gcd(P), so its residues mod gcd suffice, in O(gcd + one chunk).
+    # The word is the periodic extension of `prefix`: the oracle's min(min P, n) residue labels, or the fast engine's
+    # generator of at most as many letters (a trivial word's is its residues mod gcd); the size rule caps both here.
     check_prefix_size(ps, n)
     if args.engine == "oracle":
         from .oracle import residue_labels
 
         prefix = residue_labels(ps, n)
-    elif n > (extremal_length(ps) or -1):
-        prefix = tuple(range(min(ps.gcd, n)))
     else:
-        prefix = generating_prefix(ps, n)
+        prefix = _generator(ps, n)
     token, sep, head, tail = str, " ", "", ""
     if args.format == "dense":
         if max(prefix, default=0) >= len(DENSE_DIGITS):

@@ -20,7 +20,7 @@ class PeriodSet:
     positive integer, and bools are refused rather than read as 0 and 1.
     """
 
-    __slots__ = ("periods", "min_period", "gcd")
+    __slots__ = ("periods", "min_period", "gcd", "_hash")
 
     def __init__(self, values: Iterable[int]) -> None:
         periods = sorted({_refuse_bool(v) if type(v) is bool else index(v) for v in values})
@@ -31,6 +31,7 @@ class PeriodSet:
         self.periods: tuple[int, ...] = tuple(periods)
         self.min_period: int = periods[0]
         self.gcd: int = math.gcd(*periods)
+        self._hash = hash(self.periods)  # memo keys hash a set on every lookup
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.periods)
@@ -44,7 +45,7 @@ class PeriodSet:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.periods)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PeriodSet({list(self.periods)!r})"

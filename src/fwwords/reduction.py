@@ -6,7 +6,8 @@ m-periodic extension of the one for (reduced P, n - m), patched with fresh
 letters where the shorter word does not reach. Descending until the length
 or the gcd makes the answer immediate, then re-extending, reproduces the
 residue-search oracle's word letter for letter at a cost driven by the
-reduction chain instead of by n.
+reduction chain instead of by n. A level with no fresh letters, at a multiple
+of the generator's length, keeps it: a trivial word keeps the residues mod gcd.
 
 Consecutive steps that share the same minimum are collapsed into single
 arithmetic jumps, which is what makes letter queries and extremal lengths
@@ -182,13 +183,20 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
     than ORACLE_MAX_LENGTH raises OutOfRangeError before anything is built.
     """
     check_prefix_size(periods, n)
+    return extend_periodically(_generator(periods, n), min(periods.min_period, n))
+
+
+def _generator(periods: PeriodSet, n: int) -> Word:
+    # A generator of fw_fast(periods, n), at most min(min_period, n) letters: past the extremal
+    # length the residues mod gcd, since a level with fresh letters forbids period gcd
     *jumps, (m, length, _, _, _, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
     gen: Word = tuple(range(min(length, m)))
     for m, top, k, _, _, _ in reversed(jumps):
         bottom = top - k * m
-        # fresh letters where the word below does not reach; none once bottom >= m
-        gen = extend_periodically(gen, min(bottom, m)) + tuple(range(bottom, m))
+        # fresh letters where the word below does not reach; with none (bottom >= m), gen stays if len(gen) | m
+        if bottom < m or m % len(gen):
+            gen = extend_periodically(gen, min(bottom, m)) + tuple(range(bottom, m))
         # the other k-1 levels of this jump share the minimum m and sit over
         # lengths >= bottom + m > m, so their generator is unchanged
     return gen
@@ -197,9 +205,9 @@ def generating_prefix(periods: PeriodSet, n: int) -> Word:
 def fw_fast(periods: PeriodSet, n: int) -> Word:
     """The same word as fw_oracle(periods, n), built through the reduction chain.
 
-    Descends with arithmetic jumps, keeps one length-min generating prefix
-    per jump, and extends to the full length once at the top. Letters match
-    the oracle exactly, not merely up to renaming.
+    Descends with arithmetic jumps, rebuilds the generator only where a jump
+    adds fresh letters or its minimum is no multiple of the generator's length,
+    and extends it to length n at the top. Letters match the oracle exactly, not merely up to renaming.
     """
     return extend_periodically(generating_prefix(periods, n), n)
 

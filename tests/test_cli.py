@@ -629,6 +629,22 @@ def test_word_non_trivial_across_real_slices():
                 assert letters[i] == letter_at(ps, n, i), (n, fmt, i)
 
 
+def test_word_runs_one_descent(monkeypatch):
+    # the fast engine prints every word, trivial ones included, from the
+    # generator the rebuild keeps, so it runs no extremal_length descent
+    cases = [((20000, 30001), n) for n in (25_000, 49_999, 50_000, 10**6)]
+    cases += [(values, n) for values in ((5, 7), (6, 9), (12, 18, 27), (40,)) for n in (0, 1, 5, 12, 13, 60)]
+
+    def refuse(ps):
+        raise AssertionError(f"word ran extremal_length({ps})")
+
+    monkeypatch.setattr(cli, "extremal_length", refuse)
+    for values, n in cases:
+        for fmt in ("ints", "dense", "json"):
+            assert _word_or_refusal(values, n, fmt, "fast") == _word_or_refusal(values, n, fmt, "oracle"), (values, n, fmt)
+    assert _word_or_refusal((20000, 30001), 10**6, "dense", "fast") == ("printed", "0" * 10**6 + "\n")
+
+
 def test_word_engines_share_one_size_rule(capsys, monkeypatch):
     # `word` caps the generator, min(min P, n) letters, not the word: with the
     # cap at 10, both engines print {5,7} at lengths past it and refuse

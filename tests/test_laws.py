@@ -22,6 +22,12 @@ Generators: fw_oracle(P, n) and fw_fast(P, n) are the min(P)-periodic
 extensions of residue_labels(P, n) and generating_prefix(P, n), so equal
 generators are the whole two-engine check at any n, in O(min(P) * |P|).
 
+Shortest generator: the fast engine's rebuild keeps a generator whose
+periodic extension is the word, and a level that adds no fresh letters keeps
+the one below it. A level that adds fresh letters forbids period gcd(P), so
+for gcd(P) < n the generator is the residues mod gcd(P) exactly when n is
+past the extremal length; for n <= gcd(P) it is the whole word, range(n).
+
 Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
 the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
 1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
@@ -35,6 +41,7 @@ import random
 from fwwords import (
     PeriodSet,
     canonicalize,
+    extend_periodically,
     extremal_length,
     fw_fast,
     fw_oracle,
@@ -43,7 +50,8 @@ from fwwords import (
     letter_at,
 )
 from fwwords.oracle import residue_labels
-from fwwords.reduction import reduce_periods
+from fwwords.reduction import _generator, reduce_periods
+from fwwords.selftest import grid_period_sets
 
 
 def random_small_set(rng):
@@ -171,6 +179,47 @@ def test_engines_agree_at_every_length():
         assert residue_labels(ps, n) == prefix, (ps, n)
         nontrivial += not is_trivial(prefix, ps)
     assert nontrivial > 500
+
+
+def _check_generator(ps, n, extremal):
+    gen = _generator(ps, n)
+    word = fw_fast(ps, n)
+    assert extend_periodically(gen, n) == word and len(gen) <= min(ps.min_period, n), (ps, n)
+    assert (gen == tuple(range(min(ps.gcd, n)))) == (n > (extremal or -1) or n <= ps.gcd), (ps, n)
+    assert is_trivial(gen, ps) == is_trivial(word, ps), (ps, n)
+
+
+def test_generator_is_the_gcd_residues_exactly_past_the_extremal_length():
+    # every set of at most three periods up to 12 at n < 40, then seeded sets
+    # of 2-6 periods up to 3,000 (half of them multiples of 2, 3 or 6) at
+    # L - 1, L, L + 1, L + 5, 2L + 3 and one n below 10**5
+    for ps in grid_period_sets(12):
+        extremal = extremal_length(ps)
+        for n in range(40):
+            _check_generator(ps, n, extremal)
+    rng = random.Random(28)
+    for _ in range(300):
+        d = rng.choice((1, 1, 1, 2, 3, 6))
+        ps = PeriodSet(d * rng.randrange(1, 3000 // d) for _ in range(rng.randrange(2, 7)))
+        extremal = extremal_length(ps)
+        near = () if extremal is None else (extremal - 1, extremal, extremal + 1, extremal + 5, 2 * extremal + 3)
+        for n in (*near, rng.randrange(10**5)):
+            _check_generator(ps, n, extremal)
+
+
+def test_generating_prefix_of_wide_trivial_sets_is_the_oracle():
+    # 30-100 periods in [2*10**3, 10**4] at n in [10**9, 10**12], far past their
+    # extremal length: the generator is one residue per class mod gcd, and the
+    # prefix it extends to min(P) letters is the oracle's residue labels
+    rng = random.Random(29)
+    for _ in range(12):
+        d = rng.choice((1, 1, 2, 3))
+        ps = PeriodSet(d * rng.randrange(2000 // d, 10**4 // d) for _ in range(rng.randrange(30, 101)))
+        n = rng.randrange(10**9, 10**12)
+        assert n > extremal_length(ps) and _generator(ps, n) == tuple(range(ps.gcd)), (ps, n)
+        prefix = generating_prefix(ps, n)
+        assert prefix == residue_labels(ps, n), (ps, n)
+        assert is_trivial(prefix, ps), (ps, n)
 
 
 def christoffel(p, q):

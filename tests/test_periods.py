@@ -58,6 +58,13 @@ def test_equality_and_hashing():
     assert len({PeriodSet([5, 7]), PeriodSet([7, 5]), PeriodSet([2])}) == 2
 
 
+def test_equal_sets_hash_equal_whatever_they_are_built_from():
+    sources = ([5, 7, 12], (12, 7, 5, 7), {7, 12, 5}, iter([12, 5, 7]), (p for p in (7, 5, 12, 5)))
+    sets = [PeriodSet(values) for values in sources]
+    assert len({hash(ps) for ps in sets}) == 1 and len(set(sets)) == 1
+    assert {PeriodSet([7, 5]): "word"}[PeriodSet((5, 7))] == "word"
+
+
 def test_container_protocol():
     ps = PeriodSet([7, 5])
     assert list(ps) == [5, 7]
