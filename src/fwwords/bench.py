@@ -7,7 +7,7 @@ from typing import Any, Callable, NamedTuple
 
 from .oracle import residue_labels
 from .periods import PeriodSet
-from .reduction import check_prefix_size, generating_prefix, letter_at
+from .reduction import generating_prefix, letter_at
 
 
 class BenchRow(NamedTuple):
@@ -43,11 +43,10 @@ def run_bench(periods: PeriodSet, n: int, repetitions: int = 5) -> list[BenchRow
     """Time each engine's generator of min(min_period, n) letters (`generating_prefix`,
     `residue_labels`), and one letter query. Either engine's word is its generator's
     periodic extension, so the rows leave that shared copy out. A generator too long
-    to build is refused by `check_prefix_size`, as in `word`.
+    to build refuses itself before the first timing, as in `word`.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    check_prefix_size(periods, n)
     rows = [
         BenchRow("fast_word", _median_ns(lambda: generating_prefix(periods, n), repetitions), repetitions),
         BenchRow("oracle_word", _median_ns(lambda: residue_labels(periods, n), repetitions), repetitions),

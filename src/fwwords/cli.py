@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from itertools import chain
 
 from .periods import PeriodSet
-from .reduction import _generator, chain_jumps, check_prefix_size, extremal_length, letter_at
+from .reduction import _generator, chain_jumps, extremal_length, letter_at
 from .words import extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
@@ -22,6 +22,7 @@ from .words import extend_periodically, is_trivial
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of a two-period `chain`
+CHAIN_WRITE_BYTES = 1 << 20  # about the most bytes per write of `chain`, whose lines widen with their digits
 
 
 def _parse_periods(text: str) -> PeriodSet:
@@ -55,8 +56,7 @@ def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
     # The word is the periodic extension of `prefix`: the oracle's min(min P, n) residue labels, or the fast engine's
-    # generator of at most as many letters (a trivial word's is its residues mod gcd); the size rule caps both here.
-    check_prefix_size(ps, n)
+    # generator of at most as many letters (a trivial word's is its residues mod gcd); each keeps the size rule itself.
     if args.engine == "oracle":
         from .oracle import residue_labels
 
@@ -123,9 +123,10 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         # with line "Q%d={5,%d} n%d=%d\n" for periods (5, p)
         m, rest = periods[0], periods[1:]
         line = "Q%d={" + ",".join([str(m), *["%d"] * len(rest)]) + "} n%d=%d\n"
-        # a line grows with the periods it holds, so a write holds fewer of them;
-        # a write's rows are one % on the line repeated once per row
-        chunk = max(1, 2 * STREAM_CHUNK // len(periods))
+        # a line grows with its periods and their digits, so a write holds at most 2 * STREAM_CHUNK // |P| lines
+        # and CHAIN_WRITE_BYTES of the run's first line (later ones only widen by their step index); one % per write
+        width = len(line % (idx, *rest, idx, length)) if k > 1 else 1
+        chunk = max(1, min(2 * STREAM_CHUNK // len(periods), CHAIN_WRITE_BYTES // width))
         for a in range(0, k, chunk):
             b = min(a + chunk, k)
             steps = range(idx + a, idx + b)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import OutOfRangeError, TooLargeForExhaustiveError
 from .periods import PeriodSet
-from .words import Word, extend_periodically
+from .words import Word, check_prefix_size, extend_periodically
 
 EXHAUSTIVE_BOUND = 9  # largest min(min P, n) that max_alphabet_exhaustive accepts: Bell(9) = 21,147 prefixes
 
@@ -34,10 +34,11 @@ def residue_labels(periods: PeriodSet, k: int) -> Word:
 
     One ascending search over the residues: each residue not yet labeled
     starts a class and labels it with its own index, which is the class
-    minimum. The word repeats those labels with period m.
+    minimum. The word repeats those labels with period m; over ORACLE_MAX_LENGTH are refused first.
     """
     if k < 0:
         raise OutOfRangeError(f"length must be >= 0, got {k}")
+    check_prefix_size(periods, k)
     m = periods.min_period
     edges = [(p % m, k - p) for p in periods.periods[1:]]
     labels = [-1] * min(m, k)
@@ -64,7 +65,7 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
     Unique up to renaming of letters; returned in canonical labeling (each
     letter is the smallest position of its class, so letter v first occurs
     at position v). Costs O(min(m, n) * len(periods) + n) with m = min(periods);
-    use `fwwords.reduction.fw_fast` for the same word at large n.
+    use `fwwords.reduction.fw_fast` for the same word at large n; both refuse min(m, n) > ORACLE_MAX_LENGTH.
     """
     return extend_periodically(residue_labels(periods, n), n)
 

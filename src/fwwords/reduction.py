@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import OutOfRangeError
 from .periods import PeriodSet
-from .words import Word, extend_periodically
+from .words import Word, check_prefix_size, extend_periodically
 
 
 class Termination(enum.Enum):
@@ -161,34 +161,21 @@ def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], i
         yield (m,) if second is None else (m, second, *[t - off for t in tail]), length, k or 1, end
 
 
-# most letters of either engine's generator (residue labels, generating prefix) in `word` and `bench`
-ORACLE_MAX_LENGTH = 10**7
-
-
-def check_prefix_size(periods: PeriodSet, n: int) -> None:
-    """OutOfRangeError when either engine's generator, min(min_period, n) letters, is longer
-    than ORACLE_MAX_LENGTH; `word` and `bench` call it before building one."""
-    if (size := min(periods.min_period, n)) > ORACLE_MAX_LENGTH:
-        raise OutOfRangeError(
-            f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
-        )
-
-
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
     """The length-min(min_period, n) prefix that generates fw_fast(periods, n).
 
     The full word is its periodic extension to length n; this is the whole
     computation apart from that final copy, and the only part that stays
-    affordable when n itself is too large to materialize. A prefix longer
-    than ORACLE_MAX_LENGTH raises OutOfRangeError before anything is built.
+    affordable when n itself is too large to materialize. A prefix longer than
+    ORACLE_MAX_LENGTH raises OutOfRangeError in the generator, before anything is built.
     """
-    check_prefix_size(periods, n)
     return extend_periodically(_generator(periods, n), min(periods.min_period, n))
 
 
 def _generator(periods: PeriodSet, n: int) -> Word:
     # A generator of fw_fast(periods, n), at most min(min_period, n) letters: past the extremal
     # length the residues mod gcd, since a level with fresh letters forbids period gcd
+    check_prefix_size(periods, n)
     *jumps, (m, length, _, _, _, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
     gen: Word = tuple(range(min(length, m)))
@@ -205,11 +192,11 @@ def _generator(periods: PeriodSet, n: int) -> Word:
 def fw_fast(periods: PeriodSet, n: int) -> Word:
     """The same word as fw_oracle(periods, n), built through the reduction chain.
 
-    Descends with arithmetic jumps, rebuilds the generator only where a jump
-    adds fresh letters or its minimum is no multiple of the generator's length,
-    and extends it to length n at the top. Letters match the oracle exactly, not merely up to renaming.
+    Descends with arithmetic jumps, rebuilds the generator (refused over ORACLE_MAX_LENGTH letters) only where
+    a jump adds fresh letters or its minimum is no multiple of the generator's length, and extends it once to
+    length n at the top. Letters match the oracle exactly, not merely up to renaming.
     """
-    return extend_periodically(generating_prefix(periods, n), n)
+    return extend_periodically(_generator(periods, n), n)
 
 
 def letter_at(periods: PeriodSet, n: int, i: int) -> int:

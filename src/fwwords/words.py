@@ -2,7 +2,8 @@
 
 A word is plain data: ``(0, 1, 0, 3, 4, 0, 1, 0)``. Letters are integers,
 never characters; rendering is left to callers. A word is *canonical* when
-every letter equals the position of its own first occurrence.
+every letter equals the position of its own first occurrence. Either engine's
+word extends a generator, which keeps to the size rule here (`check_prefix_size`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,19 @@ def extend_periodically(w: Word, n: int) -> Word:
         raise EmptyGeneratorError("cannot periodically extend the empty word")
     q, r = divmod(n, len(w))
     return tuple(w) * q + tuple(w[:r])
+
+
+# most letters of either engine's generator (residue labels, fast generator); each generator refuses more
+ORACLE_MAX_LENGTH = 10**7
+
+
+def check_prefix_size(periods: PeriodSet, n: int) -> None:
+    """OutOfRangeError when either engine's generator, min(min_period, n) letters, is longer
+    than ORACLE_MAX_LENGTH; each generator calls it before building anything."""
+    if (size := min(periods.min_period, n)) > ORACLE_MAX_LENGTH:
+        raise OutOfRangeError(
+            f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"
+        )
 
 
 def has_period(w: Word, p: int) -> bool:

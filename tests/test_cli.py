@@ -14,11 +14,12 @@ from itertools import combinations
 
 import pytest
 
-from fwwords import cli, reduction, selftest
+from fwwords import cli, reduction, selftest, words
 from fwwords.cli import main
-from fwwords import PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
-from fwwords.reduction import ORACLE_MAX_LENGTH, chain_jumps, reduction_chain
-from fwwords.words import alphabet
+from fwwords import OutOfRangeError, PeriodSet, Termination, extremal_length, fw_fast, fw_oracle, is_trivial, letter_at
+from fwwords.oracle import residue_labels
+from fwwords.reduction import chain_jumps, generating_prefix, reduction_chain
+from fwwords.words import ORACLE_MAX_LENGTH, alphabet
 from fwwords.selftest import MAX_GRID_WORK, grid_period_sets
 
 
@@ -648,8 +649,8 @@ def test_word_runs_one_descent(monkeypatch):
 def test_word_engines_share_one_size_rule(capsys, monkeypatch):
     # `word` caps the generator, min(min P, n) letters, not the word: with the
     # cap at 10, both engines print {5,7} at lengths past it and refuse
-    # {20,30} at 11 with the same line, as `bench` does.
-    monkeypatch.setattr(reduction, "ORACLE_MAX_LENGTH", 10)
+    # {20,30} at 11 with the same line, as `bench` and the library do.
+    monkeypatch.setattr(words, "ORACLE_MAX_LENGTH", 10)
     codes = []
     for periods, n in (("5,7", "11"), ("5,7", "1000"), ("20,30", "11")):
         for fmt in ("ints", "dense", "json"):
@@ -663,6 +664,11 @@ def test_word_engines_share_one_size_rule(capsys, monkeypatch):
     # `bench` times the same generators under the same rule
     assert run_cli(capsys, "bench", "--periods", "20,30", "--length", "11", "--repetitions", "1") == (2, "", refusal)
     assert run_cli(capsys, "bench", "--periods", "5,7", "--length", "1000", "--repetitions", "1")[0] == 0
+    # each engine's generator keeps the rule itself, so every library entry point refuses with that line
+    for build in (residue_labels, fw_oracle, fw_fast, generating_prefix):
+        with pytest.raises(OutOfRangeError) as refused:
+            build(PeriodSet([20, 30]), 11)
+        assert f"error: {refused.value}\n" == refusal, build
 
 
 def _read_head_then_close(argv, size):
@@ -752,6 +758,18 @@ def test_chain_of_many_periods_streams_in_bounded_memory():
     assert len(lines) > 50
     for k, line in enumerate(lines):
         assert line == f"Q{k}={{{','.join(map(str, [m, *(p - k * m for p in others)]))}}} n{k}={n - k * m}"
+    assert (code, err) == (0, b"")
+    assert peak_kb < 40 * 1024
+
+
+def test_chain_of_wide_periods_streams_in_bounded_memory():
+    # A line holds two 1000-digit numbers, about 2 kB: 8,192 such lines per
+    # write would peak near 47 MB, so a write holds about 1 MiB of them.
+    big = n = 10**999 + 1
+    head, code, err, peak_kb = _read_head_then_close(["chain", "--periods", f"3,{big}", "--length", str(n)], 1 << 20)
+    lines = head.decode().split("\n")[:-1]  # the last line may be cut
+    assert len(lines) > 400
+    assert lines == [f"Q{k}={{3,{big - 3 * k}}} n{k}={n - 3 * k}" for k in range(len(lines))]
     assert (code, err) == (0, b"")
     assert peak_kb < 40 * 1024
 

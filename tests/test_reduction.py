@@ -118,7 +118,9 @@ def test_letter_at_unbatched_stops_at_the_gcd(monkeypatch):
         assert letter_at_unbatched(PeriodSet([4, 6]), 10**12, i) == i % 2
 
 
-def test_fw_fast_known_words():
+def test_fw_fast_known_words(monkeypatch):
+    # fw_fast extends its generator once, not the min(min P, n)-letter generating prefix
+    monkeypatch.setattr(reduction, "generating_prefix", lambda ps, n: pytest.fail("fw_fast built the prefix"))
     assert fw_fast(PeriodSet([5, 7]), 8) == (0, 1, 0, 3, 4, 0, 1, 0)
     assert fw_fast(PeriodSet([5, 7]), 3) == (0, 1, 2)
     assert fw_fast(PeriodSet([2, 4]), 5) == (0, 1, 0, 1, 0)
