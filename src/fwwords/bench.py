@@ -9,6 +9,8 @@ from .oracle import residue_labels
 from .periods import PeriodSet
 from .reduction import generating_prefix, letter_at
 
+MAX_REPETITIONS = 1000  # every sample is kept for the median, so the run and its memory stay bounded
+
 
 class BenchRow(NamedTuple):
     engine: str
@@ -40,13 +42,14 @@ def _median_ns(fn: Callable[[], object], repetitions: int) -> int:
 
 
 def run_bench(periods: PeriodSet, n: int, repetitions: int = 5) -> list[BenchRow]:
-    """Time each engine's generator of min(min_period, n) letters (`generating_prefix`,
-    `residue_labels`), and one letter query. Either engine's word is its generator's
-    periodic extension, so the rows leave that shared copy out. A generator too long
-    to build refuses itself before the first timing, as in `word`.
+    """Time each engine's generator, the prefix `word` renders (`generating_prefix`, at most
+    min(min_period, n) letters, and `residue_labels`, exactly that many), and one letter query.
+    Either engine's word is its generator's periodic extension, so the rows leave that copy
+    out. A generator too long to build refuses itself before the first timing, as in `word`.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not 1 <= repetitions <= MAX_REPETITIONS:
+        bound = ">= 1" if repetitions < 1 else f"<= {MAX_REPETITIONS}"
+        raise ValueError(f"repetitions must be {bound}, got {repetitions}")
     rows = [
         BenchRow("fast_word", _median_ns(lambda: generating_prefix(periods, n), repetitions), repetitions),
         BenchRow("oracle_word", _median_ns(lambda: residue_labels(periods, n), repetitions), repetitions),

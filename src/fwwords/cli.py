@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from itertools import chain
 
 from .periods import PeriodSet
-from .reduction import _generator, chain_jumps, extremal_length, letter_at
+from .reduction import chain_jumps, extremal_length, generating_prefix, letter_at
 from .words import extend_periodically, is_trivial
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
@@ -56,13 +56,13 @@ def _cmd_word(args: argparse.Namespace) -> int:
     ps = _parse_periods(args.periods)
     n = args.length
     # The word is the periodic extension of `prefix`: the oracle's min(min P, n) residue labels, or the fast engine's
-    # generator of at most as many letters (a trivial word's is its residues mod gcd); each keeps the size rule itself.
+    # generating prefix of at most as many letters (a trivial word's is its residues mod gcd); each keeps the size rule.
     if args.engine == "oracle":
         from .oracle import residue_labels
 
         prefix = residue_labels(ps, n)
     else:
-        prefix = _generator(ps, n)
+        prefix = generating_prefix(ps, n)
     token, sep, head, tail = str, " ", "", ""
     if args.format == "dense":
         if max(prefix, default=0) >= len(DENSE_DIGITS):

@@ -162,19 +162,15 @@ def chain_jumps(periods: PeriodSet, n: int) -> Iterator[tuple[tuple[int, ...], i
 
 
 def generating_prefix(periods: PeriodSet, n: int) -> Word:
-    """The length-min(min_period, n) prefix that generates fw_fast(periods, n).
+    """The shortest generator the rebuild keeps for fw_fast(periods, n): at most
+    min(min_period, n) letters, and past the extremal length the residues mod gcd,
+    since a level with fresh letters forbids period gcd.
 
-    The full word is its periodic extension to length n; this is the whole
-    computation apart from that final copy, and the only part that stays
-    affordable when n itself is too large to materialize. A prefix longer than
-    ORACLE_MAX_LENGTH raises OutOfRangeError in the generator, before anything is built.
+    The word is its periodic extension to length n; this is the whole computation
+    apart from that copy, and it stays affordable when n itself is too large to
+    materialize. A min(min_period, n) over ORACLE_MAX_LENGTH raises OutOfRangeError
+    before anything is built.
     """
-    return extend_periodically(_generator(periods, n), min(periods.min_period, n))
-
-
-def _generator(periods: PeriodSet, n: int) -> Word:
-    # A generator of fw_fast(periods, n), at most min(min_period, n) letters: past the extremal
-    # length the residues mod gcd, since a level with fresh letters forbids period gcd
     check_prefix_size(periods, n)
     *jumps, (m, length, _, _, _, _) = _descent(periods, n)
     # singleton classes if length <= min, else the residues mod min == gcd
@@ -192,17 +188,17 @@ def _generator(periods: PeriodSet, n: int) -> Word:
 def fw_fast(periods: PeriodSet, n: int) -> Word:
     """The same word as fw_oracle(periods, n), built through the reduction chain.
 
-    Descends with arithmetic jumps, rebuilds the generator (refused over ORACLE_MAX_LENGTH letters) only where
-    a jump adds fresh letters or its minimum is no multiple of the generator's length, and extends it once to
-    length n at the top. Letters match the oracle exactly, not merely up to renaming.
+    The periodic extension of generating_prefix(periods, n) to length n, which descends with arithmetic jumps
+    and rebuilds its generator only where a jump adds fresh letters or its minimum is no multiple of the
+    generator's length. Letters match the oracle exactly, not merely up to renaming.
     """
-    return extend_periodically(_generator(periods, n), n)
+    return extend_periodically(generating_prefix(periods, n), n)
 
 
 def letter_at(periods: PeriodSet, n: int, i: int) -> int:
-    """fw_fast(periods, n)[i] without building any word.
+    """fw_fast(periods, n)[i] without building the word or its generator.
 
-    Follows the jumps of `generating_prefix` at O(1) cost per jump. A jump of
+    Follows the jumps `generating_prefix` rebuilds over, at O(1) cost per jump. A jump of
     k steps at minimum m from length n' maps position i to i mod m, which is
     the letter if it reaches n' - k*m and otherwise defers below the jump;
     where the descent stops, i mod m is the letter.

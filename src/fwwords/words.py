@@ -40,8 +40,8 @@ ORACLE_MAX_LENGTH = 10**7
 
 
 def check_prefix_size(periods: PeriodSet, n: int) -> None:
-    """OutOfRangeError when either engine's generator, min(min_period, n) letters, is longer
-    than ORACLE_MAX_LENGTH; each generator calls it before building anything."""
+    """OutOfRangeError when min(min_period, n), the most letters either engine's generator
+    has, is more than ORACLE_MAX_LENGTH; each generator calls it before building anything."""
     if (size := min(periods.min_period, n)) > ORACLE_MAX_LENGTH:
         raise OutOfRangeError(
             f"the generating prefix has {size} letters, more than the {ORACLE_MAX_LENGTH} any engine builds"

@@ -483,6 +483,8 @@ def test_bench_zero_length(capsys):
     assert "letter_at skipped (empty word)" in out
     code, out, err = run_cli(capsys, "bench", "--periods", "5,7", "--length", "0", "--repetitions", "0")
     assert (code, out, err) == (2, "", "error: repetitions must be >= 1, got 0\n")
+    code, out, err = run_cli(capsys, "bench", "--periods", "5,7", "--length", "10", "--repetitions", "1001")
+    assert (code, out, err) == (2, "", "error: repetitions must be <= 1000, got 1001\n")
 
 
 def test_deterministic_output(capsys):

@@ -18,9 +18,10 @@ Extremal boundary: the word at extremal_length(P) is non-trivial and the
 one a letter longer is trivial, checked on the generating prefix at
 min(P) up to about 10**6.
 
-Generators: fw_oracle(P, n) and fw_fast(P, n) are the min(P)-periodic
-extensions of residue_labels(P, n) and generating_prefix(P, n), so equal
-generators are the whole two-engine check at any n, in O(min(P) * |P|).
+Generators: fw_oracle(P, n) and fw_fast(P, n) are the periodic extensions of
+residue_labels(P, n), min(P, n) letters, and generating_prefix(P, n), at most
+as many. So the fast generator, extended to min(P, n) letters, equal to the
+oracle's is the whole two-engine check at any n, in O(min(P) * |P|).
 
 Shortest generator: the fast engine's rebuild keeps a generator whose
 periodic extension is the word, and a level that adds no fresh letters keeps
@@ -50,7 +51,7 @@ from fwwords import (
     letter_at,
 )
 from fwwords.oracle import residue_labels
-from fwwords.reduction import _generator, reduce_periods
+from fwwords.reduction import reduce_periods
 from fwwords.selftest import grid_period_sets
 
 
@@ -142,9 +143,9 @@ def test_fresh_letters_at_scale():
 
 def test_extremal_boundary_at_scale():
     # the word at extremal_length(P) is non-trivial and the next one is trivial,
-    # at min(P) up to 10**6; a word of length n >= m = min(P) repeats its
-    # generating prefix with period m, and gcd(P) divides m, so it has period
-    # gcd(P) exactly when the prefix does
+    # at min(P) up to 10**6; a word of length n >= m = min(P) extends its
+    # generating prefix, whose length gcd(P) divides, so it has period gcd(P)
+    # exactly when the prefix does
     rng = random.Random(26)
     for _ in range(20):
         d = rng.choice((1, 1, 2, 3))
@@ -175,14 +176,14 @@ def test_engines_agree_at_every_length():
     cases.append((fibonacci, 196416))
     nontrivial = 0
     for ps, n in cases:
-        prefix = generating_prefix(ps, n)
+        prefix = extend_periodically(generating_prefix(ps, n), min(ps.min_period, n))
         assert residue_labels(ps, n) == prefix, (ps, n)
         nontrivial += not is_trivial(prefix, ps)
     assert nontrivial > 500
 
 
 def _check_generator(ps, n, extremal):
-    gen = _generator(ps, n)
+    gen = generating_prefix(ps, n)
     word = fw_fast(ps, n)
     assert extend_periodically(gen, n) == word and len(gen) <= min(ps.min_period, n), (ps, n)
     assert (gen == tuple(range(min(ps.gcd, n)))) == (n > (extremal or -1) or n <= ps.gcd), (ps, n)
@@ -216,8 +217,9 @@ def test_generating_prefix_of_wide_trivial_sets_is_the_oracle():
         d = rng.choice((1, 1, 2, 3))
         ps = PeriodSet(d * rng.randrange(2000 // d, 10**4 // d) for _ in range(rng.randrange(30, 101)))
         n = rng.randrange(10**9, 10**12)
-        assert n > extremal_length(ps) and _generator(ps, n) == tuple(range(ps.gcd)), (ps, n)
-        prefix = generating_prefix(ps, n)
+        gen = generating_prefix(ps, n)
+        assert n > extremal_length(ps) and gen == tuple(range(ps.gcd)), (ps, n)
+        prefix = extend_periodically(gen, min(ps.min_period, n))
         assert prefix == residue_labels(ps, n), (ps, n)
         assert is_trivial(prefix, ps), (ps, n)
 
