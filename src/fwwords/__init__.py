@@ -2,12 +2,12 @@
 
 Two independent engines build the same canonical word, each as a generator of
 at most min(min P, n) letters extended periodically: the labels of a closure
-search over the residues mod min(P) (`fw_oracle`) and the shortest generator a
-Euclid-style reduction keeps (`generating_prefix`, for `fw_fast`), with
-single-letter queries (`letter_at`) and extremal non-trivial lengths
-(`extremal_length`) on top. `fwwords.cli` exposes the command-line surface. The reference code the tests check against
-(literal twins of the jumped routines, the exhaustive maximality search) stays
-in its defining module and is not exported here.
+search over the residues mod min(P) (`fw_oracle`) and the shortest generator
+of a Euclid-style reduction (`generating_prefix`, for `fw_fast`), with letter
+queries (`letter_at`) and extremal non-trivial lengths (`extremal_length`) on
+top. `fwwords.cli` exposes the command-line surface. The reference code the
+tests check against (literal twins of the jumped routines, the exhaustive
+maximality search) stays in its defining module and is not exported here.
 """
 
 from importlib import import_module
