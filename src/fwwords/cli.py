@@ -8,6 +8,7 @@ with a single trailing newline.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -21,8 +22,8 @@ from .words import extend_periodically, is_trivial
 # in their handlers, so a query process never loads it.
 
 DENSE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-STREAM_CHUNK = 1 << 13  # letters per write of `word`, lines per write of a two-period `chain`
-CHAIN_WRITE_BYTES = 1 << 20  # about the most bytes per write of `chain`, whose lines widen with their digits
+STREAM_CHUNK = 1 << 13  # letters per write of `word`
+CHAIN_WRITE_BYTES = 1 << 18  # about the most bytes per write of `chain`, whose lines widen with their digits
 
 
 def _parse_periods(text: str) -> PeriodSet:
@@ -30,26 +31,24 @@ def _parse_periods(text: str) -> PeriodSet:
 
 
 def _extension_pieces(prefix: tuple[int, ...], n: int, token: Callable[[int], str], sep: str) -> Iterator[str]:
-    """The length-n periodic extension of prefix (n >= len(prefix) > 0), rendered
-    letter by letter with `token` and joined by `sep`, in pieces of at most
-    STREAM_CHUNK letters; the pieces themselves are to be joined by `sep`."""
+    """The length-n periodic extension of prefix (n >= len(prefix) > 0), whole copies then prefix[:rest],
+    rendered letter by letter with `token` and joined by `sep`, in pieces of at most STREAM_CHUNK
+    letters; the pieces themselves are to be joined by `sep`."""
     chunk = STREAM_CHUNK
     reps = min(chunk, n) // len(prefix)
     if reps > 1:
         # the same extension, generated by about one chunk: one rendering serves every write
         prefix = extend_periodically(prefix, reps * len(prefix))
     copies, rest = divmod(n, len(prefix))
-    slices = (sep.join(map(token, prefix[i : i + chunk])) for i in range(0, len(prefix), chunk))
-    if copies == 1 and not rest:
-        yield from slices  # written once, so never hold more than one slice
-        return
-    slices = list(slices)
+
+    def render(end: int) -> Iterator[str]:  # the slices of prefix[:end]
+        for i in range(0, end, chunk):
+            yield sep.join(map(token, prefix[i : min(i + chunk, end)]))
+
+    slices = list(render(len(prefix))) if copies > 1 else render(len(prefix))  # a copy written once streams
     for _ in range(copies):
         yield from slices
-    full, partial = divmod(rest, chunk)
-    yield from slices[:full]
-    if partial:
-        yield sep.join(map(token, prefix[rest - partial : rest]))
+    yield from render(rest)
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
@@ -71,13 +70,13 @@ def _cmd_word(args: argparse.Namespace) -> int:
     elif args.format == "json":
         import json
 
-        # the gcd divides len(prefix) unless prefix is the whole word, so the
-        # prefix has the gcd as a period exactly when the word does
+        # the gcd divides len(prefix) unless prefix is the whole word, so the prefix has the gcd as a period exactly
+        # when the word does; both engines label a letter by its first position, so new letters equal their position
         doc = {
             "periods": list(ps.periods),
             "length": n,
             "letters": [],
-            "alphabet_size": len(set(prefix)),
+            "alphabet_size": sum(map(operator.eq, prefix, range(len(prefix)))),
             "trivial": is_trivial(prefix, ps),
         }
         head, tail = json.dumps(doc).split('"letters": []')
@@ -102,7 +101,7 @@ def _cmd_at(args: argparse.Namespace) -> int:
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal_length(_parse_periods(args.periods))
-    # the value can pass Python's int-to-str limit that the periods met: lift it for this print (int() = 0 before 3.11)
+    # the value can pass the int-to-str limit that the periods met: lift it for this print (0: none, or 3.10 < 3.10.7)
     limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
         if limit:
@@ -123,10 +122,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         # with line "Q%d={5,%d} n%d=%d\n" for periods (5, p)
         m, rest = periods[0], periods[1:]
         line = "Q%d={" + ",".join([str(m), *["%d"] * len(rest)]) + "} n%d=%d\n"
-        # a line grows with its periods and their digits, so a write holds at most 2 * STREAM_CHUNK // |P| lines
-        # and CHAIN_WRITE_BYTES of the run's first line (later ones only widen by their step index); one % per write
+        # a write holds CHAIN_WRITE_BYTES of the run's first line (later lines widen only by the step index); one %
         width = len(line % (idx, *rest, idx, length)) if k > 1 else 1
-        chunk = max(1, min(2 * STREAM_CHUNK // len(periods), CHAIN_WRITE_BYTES // width))
+        chunk = max(1, CHAIN_WRITE_BYTES // width)
         for a in range(0, k, chunk):
             b = min(a + chunk, k)
             steps = range(idx + a, idx + b)

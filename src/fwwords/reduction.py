@@ -214,7 +214,7 @@ def letter_at(periods: PeriodSet, n: int, i: int) -> int:
 
 
 def letter_at_unbatched(periods: PeriodSet, n: int, i: int) -> int:
-    """One-level-at-a-time twin of letter_at: walks the literal chain; test use only."""
+    """One-level-at-a-time twin of letter_at on the literal chain; perfbench's `query-deep` check calls it."""
     if not 0 <= i < n:
         raise OutOfRangeError(f"position {i} out of range for length {n}")
     return _literal_letter(_literal_levels(periods, n), i)
@@ -251,7 +251,7 @@ def extremal_length(periods: PeriodSet) -> int | None:
 
 
 def extremal_length_unbatched(periods: PeriodSet) -> int | None:
-    """Step-by-step twin of extremal_length; test use only. At length 2*sum(P) its chain ends at min == gcd."""
+    """Literal twin of extremal_length, run by `selftest`'s extremal-boundary family; its 2*sum(P) chain ends at gcd."""
     if periods.gcd == periods.min_period:
         return None
     *levels, (last, _) = _literal_levels(periods, 2 * sum(periods.periods))

@@ -152,6 +152,13 @@ def test_extremal_prints_answer_longer_than_int_str_limit(capsys):
         # a period past the limit is still refused at parse time
         code, out, err = run_cli(capsys, "extremal", "--periods", f"9{'0' * limit},7")
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        # a limit of 0 (none, as on 3.10 before 3.10.7) has nothing to lift or restore
+        try:
+            sys.set_int_max_str_digits(0)
+            assert run_cli(capsys, "extremal", "--periods", f"{p},{p[:-1]}1") == (0, "17" + "9" * 4299 + "\n", "")
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_chain_worked_example(capsys):
@@ -232,35 +239,39 @@ def _chain_writes(monkeypatch, values, n):
 
 
 def test_chain_writes_cross_their_boundaries(monkeypatch, render_chain):
-    # With 7 lines per write for two periods and 2 * 7 // |P| for more, runs
-    # span many writes; each write is formatted on its own, from its first step.
+    # With a budget of B bytes a write of a run holds max(1, B // width) lines,
+    # width being the run's first line: at 16 and 100 bytes runs span many
+    # writes, and each write is formatted on its own, from its first step.
     monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
-    monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
     rng = random.Random(24)
     cases = [((5, 1001), 1000), ((4, 9, 10, 23), 500), ((1000, 1000007), 100000)]
     for size in range(1, 9):
         for _ in range(12):
             values = rng.sample(range(1, 80), size)
             cases.append((values, rng.randrange(4 * sum(values))))
-    for values, n in cases:
-        text, rows = _chain_writes(monkeypatch, values, n)
-        assert text == render_chain(reduction_chain(PeriodSet(values), n)) + "\n"
-        expected = []
-        for periods, _, k, _ in chain_jumps(PeriodSet(values), n):
-            per_write = max(1, 14 // len(periods))
-            expected += [per_write] * (k // per_write) + [k % per_write] * (k % per_write > 0)
-        assert rows == [*expected, 1]
-    # {5,1001} at 1000 is one run of 199 steps in 29 writes, then its last step
+    for budget in (16, 100):
+        monkeypatch.setattr(cli, "CHAIN_WRITE_BYTES", budget)
+        for values, n in cases:
+            text, rows = _chain_writes(monkeypatch, values, n)
+            assert text == render_chain(reduction_chain(PeriodSet(values), n)) + "\n"
+            expected, idx = [], 0
+            for periods, length, k, _ in chain_jumps(PeriodSet(values), n):
+                width = len(f"Q{idx}={{{','.join(map(str, periods))}}} n{idx}={length}\n")
+                per_write = max(1, budget // width)
+                expected += [per_write] * (k // per_write) + [k % per_write] * (k % per_write > 0)
+                idx += k
+            assert rows == [*expected, 1], (budget, values, n)
+    # {5,1001} at 1000 is one run of 199 steps of 20-byte lines in 40 writes, then its last step
     _, rows = _chain_writes(monkeypatch, (5, 1001), 1000)
-    assert rows == [7] * 28 + [3, 1, 1]
-    # At the real chunk size: 8,192 lines per write for two periods and
-    # 2 * 8,192 // |P| for more, from one run of 30,000 steps and one of 20,000
+    assert rows == [5] * 39 + [4, 1, 1]
+    # At the real budget of 2**18 bytes: 2**18 // 33 lines per write for a run of 30,000
+    # two-period steps, and 2**18 // 55 for a run of 20,000 four-period steps
     monkeypatch.undo()
-    assert cli.STREAM_CHUNK == 8192
+    assert cli.CHAIN_WRITE_BYTES == 1 << 18
     _, rows = _chain_writes(monkeypatch, (1000, 10**9 + 7), 1000 * 30001)
-    assert rows == [8192, 8192, 8192, 5424, 1, 1]
+    assert rows == [7943, 7943, 7943, 6171, 1, 1]
     _, rows = _chain_writes(monkeypatch, (1000, 10**9 + 7, 10**9 + 14, 10**9 + 21), 1000 * 20001)
-    assert rows == [4096, 4096, 4096, 4096, 3616, 1, 1]
+    assert rows == [4766, 4766, 4766, 4766, 936, 1, 1]
 
 
 def _selftest_lines(*counts):
@@ -568,10 +579,10 @@ def _word_or_refusal(values, n, fmt, engine):
 
 
 def test_word_streams_the_materialized_word(monkeypatch):
-    # A 7-letter chunk sends short prefixes through the repeated-rendering
-    # path with a partial tail, prefixes of 8..12 letters through the
-    # cached-slice path, and words of at most min(P) letters, which are their
-    # own prefix, through the path that renders one slice at a time.
+    # With a 7-letter chunk, short prefixes are first repeated to one chunk
+    # and prefixes of 8..12 letters span two slices; a copy written more than
+    # once is kept rendered, one written once (a word of at most min(P)
+    # letters is its own prefix) streams, and tails cut a slice or end on one.
     monkeypatch.setattr(cli, "STREAM_CHUNK", 7)
     cases = [(values, n) for size in (1, 2, 3) for values in combinations(range(1, 13), size) for n in range(45)]
     cases += [(values, n) for values in ((5, 7), (6, 9), (12, 18, 27), (8, 20, 30, 35)) for n in (99, 1000, 4321)]
@@ -713,6 +724,18 @@ def test_word_closed_pipe_streams_in_bounded_memory():
     assert peak_kb < 40 * 1024
 
 
+def test_word_json_counts_its_alphabet_in_bounded_memory():
+    # 1,000,001 distinct letters: a set of them would cost about 47 MB more
+    # than the `ints` rendering of the same word, which builds no set.
+    argv = ["word", "--periods", "1000001,1000002", "--length", "1200000", "--format"]
+    peaks = {}
+    for fmt in ("ints", "json"):
+        head, code, err, peaks[fmt] = _read_head_then_close([*argv, fmt], 1 << 20)
+        assert (len(head), code, err) == (1 << 20, 0, b"")
+    assert head.startswith(b'{"periods": [1000001, 1000002], "length": 1200000, "letters": [0, ')
+    assert peaks["json"] < peaks["ints"] + 24 * 1024
+
+
 def test_trivial_word_streams_in_bounded_memory():
     # {9999991, 9999992} has gcd 1 and extremal length about 2*10**7, so its
     # 10**10-letter word is all 0: printed from one residue, not from its
@@ -752,7 +775,7 @@ def test_chain_closed_pipe_streams_in_bounded_memory():
 
 def test_chain_of_many_periods_streams_in_bounded_memory():
     # A line holds all 1000 periods, about 11 kB: 8,192 such lines per write
-    # would peak near 171 MiB, so a write holds 2 * 8,192 // 1000 lines.
+    # would peak near 171 MiB, so a write holds the 23 lines that fit in 2**18 bytes.
     m, others, n = 1000, [10**9 + 7 * j for j in range(1, 1000)], 10**12
     argv = ["chain", "--periods", ",".join(map(str, [m, *others])), "--length", str(n)]
     head, code, err, peak_kb = _read_head_then_close(argv, 1 << 20)
@@ -766,7 +789,7 @@ def test_chain_of_many_periods_streams_in_bounded_memory():
 
 def test_chain_of_wide_periods_streams_in_bounded_memory():
     # A line holds two 1000-digit numbers, about 2 kB: 8,192 such lines per
-    # write would peak near 47 MB, so a write holds about 1 MiB of them.
+    # write would peak near 47 MB, so a write holds about 256 KiB of them.
     big = n = 10**999 + 1
     head, code, err, peak_kb = _read_head_then_close(["chain", "--periods", f"3,{big}", "--length", str(n)], 1 << 20)
     lines = head.decode().split("\n")[:-1]  # the last line may be cut
