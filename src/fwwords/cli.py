@@ -16,7 +16,7 @@ from itertools import chain
 
 from .periods import PeriodSet
 from .reduction import chain_jumps, extremal_length, generating_prefix, letter_at
-from .words import extend_periodically, is_trivial
+from .words import extend_periodically
 
 # What only some commands run (the oracle, bench, selftest, json) is imported
 # in their handlers, so a query process never loads it.
@@ -70,14 +70,15 @@ def _cmd_word(args: argparse.Namespace) -> int:
     elif args.format == "json":
         import json
 
-        # the gcd divides len(prefix) unless prefix is the whole word, so the prefix has the gcd as a period exactly
-        # when the word does; both engines label a letter by its first position, so new letters equal their position
+        # both engines label a letter by its first position, so new letters equal their position; each class lies in one
+        # residue mod the gcd (it divides every period): past the gcd, the word has period gcd iff it has gcd letters
+        size = sum(map(operator.eq, prefix, range(len(prefix))))
         doc = {
             "periods": list(ps.periods),
             "length": n,
             "letters": [],
-            "alphabet_size": sum(map(operator.eq, prefix, range(len(prefix)))),
-            "trivial": is_trivial(prefix, ps),
+            "alphabet_size": size,
+            "trivial": n <= ps.gcd or size == ps.gcd,
         }
         head, tail = json.dumps(doc).split('"letters": []')
         head, tail, sep = head + '"letters": [', "]" + tail, ", "
@@ -101,15 +102,9 @@ def _cmd_at(args: argparse.Namespace) -> int:
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal_length(_parse_periods(args.periods))
-    # the value can pass the int-to-str limit that the periods met: lift it for this print (0: none, or 3.10 < 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    try:
-        if limit:
-            sys.set_int_max_str_digits(0)
-        print("none" if value is None else value)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # below (2|P| + 1) max P, the value may pass the int-to-str limit the periods met, but value // 10**64 cannot
+    high, low = divmod(value or 0, 10**64)
+    print("none" if value is None else f"{high}{low:064d}" if high else low)
     return 0
 
 

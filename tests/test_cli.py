@@ -152,13 +152,25 @@ def test_extremal_prints_answer_longer_than_int_str_limit(capsys):
         # a period past the limit is still refused at parse time
         code, out, err = run_cli(capsys, "extremal", "--periods", f"9{'0' * limit},7")
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
-        # a limit of 0 (none, as on 3.10 before 3.10.7) has nothing to lift or restore
+        # a limit of 0 (none, as on 3.10 before 3.10.7) is left as it is
         try:
             sys.set_int_max_str_digits(0)
             assert run_cli(capsys, "extremal", "--periods", f"{p},{p[:-1]}1") == (0, "17" + "9" * 4299 + "\n", "")
             assert sys.get_int_max_str_digits() == 0
         finally:
             sys.set_int_max_str_digits(limit)
+        # at the least limit, 640, a 641-digit answer from 640-digit periods
+        q = 9 * 10**639
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, "extremal", "--periods", f"{q},{q + 1}")
+            assert (code, out, err) == (0, "17" + "9" * 639 + "\n", "")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+    # {2, q} for odd q answers q: past 10**64 its low 64 digits need zero-padding; below it there is no high part
+    assert run_cli(capsys, "extremal", "--periods", f"2,{10**64 + 1}") == (0, "1" + "0" * 63 + "1\n", "")
+    assert run_cli(capsys, "extremal", "--periods", f"2,{10**64 - 1}") == (0, "9" * 64 + "\n", "")
 
 
 def test_chain_worked_example(capsys):
@@ -726,14 +738,16 @@ def test_word_closed_pipe_streams_in_bounded_memory():
 
 def test_word_json_counts_its_alphabet_in_bounded_memory():
     # 1,000,001 distinct letters: a set of them would cost about 47 MB more
-    # than the `ints` rendering of the same word, which builds no set.
+    # than the `ints` rendering of the same word, which builds no set, and a
+    # copy of the generator to test the gcd as a period about 8 MB. `json`
+    # counts the generator's new letters once and copies nothing.
     argv = ["word", "--periods", "1000001,1000002", "--length", "1200000", "--format"]
     peaks = {}
     for fmt in ("ints", "json"):
         head, code, err, peaks[fmt] = _read_head_then_close([*argv, fmt], 1 << 20)
         assert (len(head), code, err) == (1 << 20, 0, b"")
     assert head.startswith(b'{"periods": [1000001, 1000002], "length": 1200000, "letters": [0, ')
-    assert peaks["json"] < peaks["ints"] + 24 * 1024
+    assert peaks["json"] < peaks["ints"] + 2 * 1024
 
 
 def test_trivial_word_streams_in_bounded_memory():

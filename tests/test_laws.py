@@ -29,6 +29,11 @@ the one below it. A level that adds fresh letters forbids period gcd(P), so
 for gcd(P) < n the generator is the residues mod gcd(P) exactly when n is
 past the extremal length; for n <= gcd(P) it is the whole word, range(n).
 
+Trivial by count: every period is a multiple of g = gcd(P), so each class
+of forced-equal positions lies in one residue mod g, and a word of length
+n > g has at least g letters; it has period g exactly when it has g letters.
+Both engines' words are checked against this count as they are walked.
+
 Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
 the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
 1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
@@ -71,6 +76,7 @@ def test_seeded_differential_sweep():
         for n in range(top + 1):
             word = fw_oracle(ps, n)
             assert fw_fast(ps, n) == word, (ps, n)
+            assert is_trivial(word, ps) == (n <= ps.gcd or len(set(word)) == ps.gcd), (ps, n)
             if not is_trivial(word, ps):
                 last_nontrivial = n
         assert last_nontrivial == extremal, ps
@@ -188,6 +194,7 @@ def _check_generator(ps, n, extremal):
     assert extend_periodically(gen, n) == word and len(gen) <= min(ps.min_period, n), (ps, n)
     assert (gen == tuple(range(min(ps.gcd, n)))) == (n > (extremal or -1) or n <= ps.gcd), (ps, n)
     assert is_trivial(gen, ps) == is_trivial(word, ps), (ps, n)
+    assert is_trivial(word, ps) == (n <= ps.gcd or len(set(word)) == ps.gcd), (ps, n)
 
 
 def test_generator_is_the_gcd_residues_exactly_past_the_extremal_length():
