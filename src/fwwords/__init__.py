@@ -5,9 +5,9 @@ at most min(min P, n) letters extended periodically: the labels of a closure
 search over the residues mod min(P) (`fw_oracle`) and the shortest generator
 of a Euclid-style reduction (`generating_prefix`, for `fw_fast`), with letter
 queries (`letter_at`) and extremal non-trivial lengths (`extremal_length`) on
-top. `fwwords.cli` exposes the command-line surface. The reference code the
-tests check against (literal twins of the jumped routines, the exhaustive
-maximality search) stays in its defining module and is not exported here.
+top. `fwwords.cli` exposes the command-line surface. The literal twins of
+the jumped routines, which the tests check against, stay in
+`fwwords.reduction` and are not exported here.
 """
 
 from importlib import import_module

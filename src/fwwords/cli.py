@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 self-test failure, 2 usage or input error. All
+Exit codes: 0 success, 1 self-test failure, 2 usage, input or output error. All
 output is deterministic; `ints` and `dense` word renderings are bit-exact
 with a single trailing newline.
 """
@@ -211,13 +211,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader stopped reading, which is its choice. Point stdout at
-        # devnull so the flush at interpreter exit cannot fail again.
+    except OSError as exc:
+        # A closed pipe is the reader's choice; any other failed write (a full disk, a file size limit) is an
+        # output error. Point stdout at devnull so the flush at interpreter exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

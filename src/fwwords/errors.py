@@ -15,8 +15,3 @@ class OutOfRangeError(ValueError):
 
 class EmptyGeneratorError(ValueError):
     """A positive-length periodic extension was requested from an empty word."""
-
-
-class TooLargeForExhaustiveError(ValueError):
-    """min(min P, n) exceeds EXHAUSTIVE_BOUND in the exhaustive maximality search,
-    which tries Bell(min(min P, n)) prefixes and extends each in O(n * |P|)."""

@@ -14,11 +14,9 @@ names each position's class.
 
 from __future__ import annotations
 
-from .errors import OutOfRangeError, TooLargeForExhaustiveError
+from .errors import OutOfRangeError
 from .periods import PeriodSet
 from .words import Word, check_prefix_size, extend_periodically
-
-EXHAUSTIVE_BOUND = 9  # largest min(min P, n) that max_alphabet_exhaustive accepts: Bell(9) = 21,147 prefixes
 
 
 def residue_labels(periods: PeriodSet, k: int) -> Word:
@@ -68,42 +66,3 @@ def fw_oracle(periods: PeriodSet, n: int) -> Word:
     use `fwwords.reduction.fw_fast` for the same word at large n; both refuse min(m, n) > ORACLE_MAX_LENGTH.
     """
     return extend_periodically(residue_labels(periods, n), n)
-
-
-def max_alphabet_exhaustive(periods: PeriodSet, n: int) -> tuple[int, tuple[Word, ...]]:
-    """Brute-force maximum alphabet size over ALL length-n words with the periods.
-
-    Fills positions left to right from the definition of a period. Each of the
-    first b = min(min(periods), n) takes every open block, then a new one:
-    Bell(b) prefixes. Past them w[i] = w[i-p] is forced for every period
-    p <= i, and a branch that breaks it is cut, as no later position can
-    repair it; each prefix extends in O(n * len(periods)). Returns the best
-    class count with every maximizer (canonical labeling). Independent of the
-    residue search, so it can vouch for fw_oracle's maximality and uniqueness.
-    """
-    m = periods.min_period
-    branching = min(m, n)
-    if branching > EXHAUSTIVE_BOUND:
-        raise TooLargeForExhaustiveError(f"min(min P, n) = {branching} exceeds the bound {EXHAUSTIVE_BOUND}")
-    best = -1
-    witnesses: list[Word] = []
-    word = [0] * n
-
-    def fill(i: int, labels: tuple[int, ...]) -> None:
-        nonlocal best, witnesses
-        if i < branching:
-            for label in (*labels, i):  # each open block, then a new one
-                word[i] = label
-                fill(i + 1, labels if label < i else (*labels, i))
-            return
-        for j in range(branching, n):
-            word[j] = word[j - m]
-            if any(word[j - p] != word[j] for p in periods if p <= j):
-                return
-        if len(labels) > best:
-            best, witnesses = len(labels), []
-        if len(labels) == best:
-            witnesses.append(tuple(word))
-
-    fill(0, ())
-    return best, tuple(witnesses)

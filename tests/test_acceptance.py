@@ -33,7 +33,6 @@ from fwwords import (
     is_trivial,
 )
 from fwwords.cli import main
-from fwwords.oracle import max_alphabet_exhaustive
 from fwwords.reduction import chain_jumps, reduction_chain
 from fwwords.selftest import DEFAULT_MAX_N, DEFAULT_MAX_PERIOD, FAMILIES
 
@@ -126,7 +125,7 @@ def test_c6_extremal_words_palindromic_as_pinned():
     report("C6 extremal palindromes (renaming for every gcd, letterwise for gcd <= 2)")
 
 
-def test_c7_exhaustive_maximality_uniqueness():
+def test_c7_exhaustive_maximality_uniqueness(max_alphabet_exhaustive):
     start = time.perf_counter()
     checked = 0
     for ps in grid_period_sets(8, 8):

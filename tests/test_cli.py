@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -831,3 +832,70 @@ def test_word_without_reader_exits_0_quietly():
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["word", "--periods", "5,7", "--length", str(10**6)], ["chain", "--periods", "5,1000000007", "--length", str(10**10)]],
+)
+def test_failed_write_exits_2_with_one_line(tmp_path, argv):
+    # A 64 KiB file size limit, set in the child only, fails the write with
+    # EFBIG (the interpreter ignores SIGXFSZ): an output error, not a traceback.
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+
+    with open(tmp_path / "out", "wb") as out:
+        result = subprocess.run(
+            [sys.executable, "-m", "fwwords", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            preexec_fn=limit_file_size,
+            timeout=60,
+        )
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+SMALL_TOKENS = ("0", "-1", "1", "1_0", "  7", "", "٥")  # no value above 10**4, or none at all
+FUZZ_TOKENS = (*SMALL_TOKENS, str(10**7 - 1), str(10**7 + 1), "1" + "0" * 4299, "1" + "0" * 4300)  # 4,300 and 4,301 digits
+
+
+def test_main_fuzz_exits_0_or_2_with_at_most_one_error():
+    # Seeded argv over every command but selftest: each field of --periods and
+    # every number drawn from FUZZ_TOKENS (lengths of word, chain and bench kept
+    # to 10**4), or a list of 2,000 periods. Stdout is a plain StringIO.
+    rng = random.Random(32)
+
+    def number(tokens=FUZZ_TOKENS):
+        return rng.choice((*tokens, str(rng.randrange(10**4 + 1))))
+
+    def periods():
+        if rng.random() < 0.1:
+            return ",".join(str(rng.randrange(1, 10**7 + 2)) for _ in range(2000))
+        return ",".join(number() for _ in range(rng.randrange(1, 4)))
+
+    codes = collections.Counter()
+    for _ in range(300):
+        command = rng.choice(("word", "chain", "bench", "at", "extremal"))
+        argv = [command, "--periods", periods()]
+        if command in ("word", "chain", "bench"):
+            argv += ["--length", number(SMALL_TOKENS)]
+        if command == "at":
+            argv += ["--length", number(), "--index", number()]
+        if command == "word":
+            argv += ["--format", rng.choice(("ints", "dense", "json")), "--engine", rng.choice(("fast", "oracle"))]
+        if command == "bench":
+            argv += ["--repetitions", rng.choice(("0", "1", "-1", "1_0"))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        lines = err.splitlines()
+        assert (code, bool(err)) in ((0, False), (2, True)), (argv, code, err)
+        assert "Traceback" not in err, argv
+        usage = err.startswith("usage: ") and lines[-1].startswith(f"fwwords {command}: error: ")
+        assert not err or usage or (len(lines) == 1 and err.startswith("error: ")), (argv, err)
+        codes[code] += 1
+    assert codes[0] > 30 and codes[2] > 30, codes

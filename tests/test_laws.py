@@ -34,6 +34,13 @@ of forced-equal positions lies in one residue mod g, and a word of length
 n > g has at least g letters; it has period g exactly when it has g letters.
 Both engines' words are checked against this count as they are walked.
 
+Oracle at scale: the oracle's word is its residue labels extended with
+period m = min(P), so letter_at(P, n, i) = residue_labels(P, n)[i % m] at
+any n, from a search that shares no code with the descent. From n = m on,
+more positions join as n grows and none part, so the number of labels equal
+to their own index (the word's letter count) never rises: the extremal
+length is the last n at which it exceeds gcd(P), found by bisection.
+
 Christoffel: for coprime p < q the word at the extremal length p + q - 2 is
 the binary central word with periods p and q (de Luca & Mignosi, TCS 136,
 1994), the mechanical word c(i) = floor((i+2)a/N) - floor((i+1)a/N) with
@@ -42,6 +49,7 @@ for two periods at any scale.
 """
 
 import math
+import operator
 import random
 
 from fwwords import (
@@ -229,6 +237,52 @@ def test_generating_prefix_of_wide_trivial_sets_is_the_oracle():
         prefix = extend_periodically(gen, min(ps.min_period, n))
         assert prefix == residue_labels(ps, n), (ps, n)
         assert is_trivial(prefix, ps), (ps, n)
+
+
+def random_oracle_set(rng, low, high):
+    # min(P) in [low, high] and 2-5 more periods up to 10**12, gcd(P) < min(P) so that
+    # extremal_length is defined; one set in four a multiple of 2 or 3
+    ps = PeriodSet([1])
+    while ps.gcd == ps.min_period:
+        d = rng.choice((1, 1, 2, 3))
+        m = d * rng.randrange(-(-low // d), high // d + 1)
+        ps = PeriodSet([m, *(d * rng.randrange(m // d + 1, 10**12 // d) for _ in range(rng.randrange(2, 6)))])
+    return ps
+
+
+def test_letters_match_the_oracle_at_scale():
+    # 3-6 periods with min(P) in [10**3, 3*10**4] at the extremal length L,
+    # where the word is non-trivial, at L + 1, where it is trivial, and at one
+    # n up to 10**13; most positions at L and L + 1
+    rng = random.Random(30)
+    nontrivial = 0
+    for _ in range(12):
+        ps = random_oracle_set(rng, 10**3, 3 * 10**4)
+        extremal = extremal_length(ps)
+        for n, draws in ((extremal, 400), (extremal + 1, 100), (rng.randrange(extremal + 2, 10**13), 50)):
+            labels = residue_labels(ps, n)
+            for i in (rng.randrange(n) for _ in range(draws)):
+                letter = letter_at(ps, n, i)
+                assert letter == labels[i % ps.min_period], (ps, n, i)
+                nontrivial += letter != i % ps.gcd
+    assert nontrivial > 300
+
+
+def test_extremal_length_is_the_last_oracle_count_above_the_gcd():
+    rng = random.Random(31)
+
+    def letters(ps, n):
+        labels = residue_labels(ps, n)
+        return sum(map(operator.eq, labels, range(len(labels))))
+
+    for _ in range(20):
+        ps = random_oracle_set(rng, 2, rng.choice((10**2, 10**3, 10**4)))  # min(P) up to 10**2, 10**3 or 10**4
+        lo, hi = ps.min_period, 2 * sum(ps)
+        assert letters(ps, lo) > ps.gcd and letters(ps, hi) == ps.gcd, ps
+        while hi - lo > 1:  # letters(lo) > gcd(P) == letters(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if letters(ps, mid) > ps.gcd else (lo, mid)
+        assert extremal_length(ps) == lo, ps
 
 
 def christoffel(p, q):

